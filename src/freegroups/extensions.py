@@ -89,7 +89,8 @@ def _identify_and_fold(
     base = fmap[squash(sub.base)]
     quotient = SubgroupGraph(folded, base)
     renumber = transport(folded, base, quotient.graph, quotient.base)
-    assert renumber is not None
+    if renumber is None:
+        raise AssertionError("a quotient must map onto its canonical form")
     vertex_map = tuple(
         renumber[fmap[squash(prior(w))]] for w in range(len(prior.vertex_map))
     )
@@ -272,7 +273,8 @@ def is_isolated(
             continue
         m = power_in(h, f)
         if m is not None:
-            assert m >= 2 and contains(h, f**m)
+            if m < 2 or not contains(h, f**m):
+                raise AssertionError("isolation witness must have a proper power in H")
             return IsolationResult(False, (f, m), True)
     return IsolationResult(True, None, depth >= bound)
 
@@ -290,7 +292,8 @@ def _closure_among(
                 for e in candidates
                 if e != m and canonical_morphism(e.based, m.based) is not None
             ]
-            assert not below, f"{kind} closure must be unique"
+            if below:
+                raise AssertionError(f"{kind} closure must be unique")
             return m
     raise AssertionError(f"{kind} extensions must contain a minimum")
 
@@ -308,7 +311,8 @@ def malnormal_closure(
     exts = algebraic_extensions(k, max_vertices, plateau_budget)
     mal = [e for e in exts if is_malnormal(e)[0]]
     result = _closure_among(k, mal, "malnormal")
-    assert rank(result) <= rank(k)
+    if rank(result) > rank(k):
+        raise AssertionError("a closure never has larger rank than K")
     return result
 
 
@@ -335,5 +339,6 @@ def isolator(
         or is_isolated(e, depth_override, state_limit).isolated
     ]
     result = _closure_among(k, iso, "isolated")
-    assert rank(result) <= rank(k)
+    if rank(result) > rank(k):
+        raise AssertionError("a closure never has larger rank than K")
     return result

@@ -154,9 +154,6 @@ class Subgraph(NamedTuple):
             [(renum[o], x, renum[t]) for o, x, t in self.edges],
         )
 
-    def spans(self, host: XDigraph) -> bool:
-        return len(self.vertices) == host.vertex_count and len(self.edges) == len(host.edges)
-
 
 # ---------------------------------------------------------------------------
 # folding
@@ -181,12 +178,19 @@ class FoldResult(NamedTuple):
 def fold_all(g: XDigraph, rng: Optional[Random] = None) -> FoldResult:
     """Perform elementary foldings until the graph is folded.
 
-    Vertex merging uses a union-find partition with per-vertex rescans;
-    each elementary fold removes exactly one positive edge, so the loop
-    terminates after at most ``len(g.edges)`` folds.  The language at
-    any tracked vertex is preserved (its image is reported in
-    ``vertex_map``).  Passing ``rng`` randomizes the fold order; all
-    orders yield based-isomorphic results.
+    Every vertex keeps a step map (signed code -> neighbour), and a
+    union-find partition records which vertices have been identified.
+    Each edge inserts its two half-edges; a half-edge whose code is
+    already taken at its vertex queues a merge of the two far ends.  A
+    merge moves the smaller step map into the larger.  A step map holds
+    at most ``2 * #X`` codes and there are fewer than ``#V`` merges, so
+    the work is near-linear in the size of the graph.  The folded edges
+    are read off the roots' positive codes.  The result is the finest
+    folded quotient, so it does not depend on the order of the merges;
+    passing ``rng`` shuffles the order in which edges are inserted, and
+    with it the merge order.  The language at any tracked vertex is
+    preserved (its image is reported in ``vertex_map``); the blocks of
+    the partition are numbered in the order of their least vertex.
     """
     n = g.vertex_count
     parent = list(range(n))
@@ -199,74 +203,42 @@ def fold_all(g: XDigraph, rng: Optional[Random] = None) -> FoldResult:
             parent[v], v = root, parent[v]
         return root
 
-    edges = [tuple(e) for e in g.edges]
-    alive = [True] * len(edges)
-    incident: list[set[int]] = [set() for _ in range(n)]
-    for i, (o, _, t) in enumerate(edges):
-        incident[o].add(i)
-        incident[t].add(i)
+    steps: list[dict[int, int]] = [{} for _ in range(n)]
+    merges: list[tuple[int, int]] = []
 
-    pending = list(range(n))
+    def attach(v: int, code: int, far: int) -> None:
+        held = steps[v].setdefault(code, far)
+        if held != far:
+            merges.append((held, far))
+
+    edges = list(g.edges)
     if rng is not None:
-        rng.shuffle(pending)
+        rng.shuffle(edges)
+    for o, x, t in edges:
+        attach(o, 2 * x, t)
+        attach(t, 2 * x + 1, o)
+    while merges:
+        a, b = merges.pop()
+        a, b = find(a), find(b)
+        if a == b:
+            continue
+        if len(steps[a]) < len(steps[b]):
+            a, b = b, a
+        parent[b] = a
+        for code, far in steps[b].items():
+            attach(a, code, far)
 
-    while pending:
-        idx = rng.randrange(len(pending)) if rng is not None else 0
-        v = pending.pop(idx)
-        changed = True
-        while changed:
-            changed = False
-            v = find(v)
-            seen: dict[int, tuple[int, int]] = {}  # signed code -> (edge id, far root)
-            order = sorted(incident[v])
-            if rng is not None:
-                rng.shuffle(order)
-            for e in order:
-                if not alive[e]:
-                    incident[v].discard(e)
-                    continue
-                o, x, t = edges[e]
-                ro, rt = find(o), find(t)
-                if ro != v and rt != v:
-                    # parked here before a merge moved both endpoints away
-                    incident[v].discard(e)
-                    incident[ro].add(e)
-                    incident[rt].add(e)
-                    continue
-                halves = []
-                if ro == v:
-                    halves.append((2 * x, rt))
-                if rt == v:
-                    halves.append((2 * x + 1, ro))
-                folded_here = False
-                for code, far in halves:
-                    if code in seen and seen[code][0] != e:
-                        _, far2 = seen[code]
-                        alive[e] = False
-                        a, b = find(far), find(far2)
-                        if a != b:
-                            # union by incident-set size
-                            if len(incident[a]) < len(incident[b]):
-                                a, b = b, a
-                            parent[b] = a
-                            incident[a] |= incident[b]
-                            incident[b] = set()
-                            pending.append(a)
-                        folded_here = True
-                        break
-                    seen[code] = (e, far)
-                if folded_here:
-                    changed = True
-                    break
-
-    roots = sorted({find(v) for v in range(n)})
-    renum = {r: i for i, r in enumerate(roots)}
-    vmap = tuple(renum[find(v)] for v in range(n))
+    renum: dict[int, int] = {}
+    vmap = tuple(renum.setdefault(find(v), len(renum)) for v in range(n))
     new_edges = [
-        (renum[find(o)], x, renum[find(t)]) for (o, x, t), ok in zip(edges, alive) if ok
+        (i, code >> 1, renum[find(far)])
+        for root, i in renum.items()
+        for code, far in steps[root].items()
+        if code & 1 == 0
     ]
-    folded = XDigraph(g.alphabet, len(roots), new_edges)
-    assert is_folded(folded)
+    folded = XDigraph(g.alphabet, len(renum), new_edges)
+    if not is_folded(folded):
+        raise AssertionError("fold_all left two equally labelled half-edges at a vertex")
     return FoldResult(folded, vmap)
 
 
@@ -425,14 +397,6 @@ def isomorphic(a: XDigraph, b: XDigraph) -> bool:
     )
 
 
-def is_subgraph_embedding(m: Morphism, a: XDigraph, b: XDigraph) -> bool:
-    """True iff ``m`` embeds ``a`` into ``b`` injectively on vertices and edges."""
-    if not m.is_injective():
-        return False
-    images = {(m(o), x, m(t)) for o, x, t in a.edges}
-    return len(images) == len(a.edges) and images <= set(b.edges)
-
-
 # ---------------------------------------------------------------------------
 # type graphs
 
@@ -464,7 +428,8 @@ def type_with_anchor(g: BasedGraph) -> TypeGraph:
     in_code: Optional[int] = None
     while True:
         options = [c for c in sorted(steps[v]) if in_code is None or c != in_code ^ 1]
-        assert len(options) == 1, "stem interior vertex must have degree two"
+        if len(options) != 1:
+            raise AssertionError("stem interior vertex must have degree two")
         c = options[0]
         stem_codes.append(c)
         v = steps[v][c]
@@ -573,7 +538,8 @@ def regular_complete(g: XDigraph) -> XDigraph:
                 has_in[t] = True
         missing_out = [v for v in range(g.vertex_count) if not has_out[v]]
         missing_in = [v for v in range(g.vertex_count) if not has_in[v]]
-        assert len(missing_out) == len(missing_in)
+        if len(missing_out) != len(missing_in):
+            raise AssertionError("a folded graph misses as many x-heads as x-tails")
         new_edges.extend((o, x, t) for o, t in zip(missing_out, missing_in))
     return XDigraph(g.alphabet, g.vertex_count, new_edges)
 
@@ -606,20 +572,31 @@ def graph_from_json(text: str) -> BasedGraph:
         raise InvalidInputError(f"invalid graph JSON: {exc}") from None
     try:
         raw_alph = payload["alphabet"]
-        vertices = int(payload["vertices"])
-        base = int(payload["base"])
+        vertices = payload["vertices"]
+        base = payload["base"]
         raw_edges = payload["edges"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"malformed graph record: {exc}") from None
-    alph = Alphabet(raw_alph if isinstance(raw_alph, list) else tuple(raw_alph))
+    # bool is a subclass of int, so test the exact type
+    if type(vertices) is not int or type(base) is not int:
+        raise InvalidInputError("graph record needs integer 'vertices' and 'base'")
+    if not isinstance(raw_edges, list):
+        raise InvalidInputError("graph record needs an 'edges' list")
+    if isinstance(raw_alph, str):
+        raw_alph = tuple(raw_alph)
+    elif not (isinstance(raw_alph, list) and all(isinstance(s, str) for s in raw_alph)):
+        raise InvalidInputError("graph record needs an 'alphabet' string or list of strings")
+    alph = Alphabet(raw_alph)
     edges = []
     for rec in raw_edges:
-        if len(rec) != 3:
+        if not (isinstance(rec, list) and len(rec) == 3):
             raise InvalidInputError(f"malformed edge record: {rec!r}")
         o, sym, t = rec
-        if sym not in alph._index:
+        if type(o) is not int or type(t) is not int:
+            raise InvalidInputError(f"edge record {rec!r} needs integer endpoints")
+        if not isinstance(sym, str) or sym not in alph._index:
             raise InvalidInputError(f"edge label {sym!r} outside alphabet")
-        edges.append((int(o), alph._index[sym], int(t)))
+        edges.append((o, alph._index[sym], t))
     return BasedGraph(XDigraph(alph, vertices, edges), base)
 
 
@@ -634,38 +611,3 @@ def to_dot(g: BasedGraph, name: str = "subgroup") -> str:
         lines.append(f'  {o} -> {t} [label="{alph.symbols[x]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def language_words(g: XDigraph, base: int, max_len: int) -> set[tuple[int, ...]]:
-    """All labels of reduced base loops of length <= max_len.
-
-    Exhaustive DFS over reduced paths; independent of the folded-graph
-    tracing used by membership, so tests can use it as an oracle.  On a
-    folded graph this is exactly the set of accepted freely reduced
-    words up to that length.
-    """
-    inc: list[list[tuple[int, Edge]]] = [[] for _ in range(g.vertex_count)]
-    for i, e in enumerate(g.edges):
-        inc[e[0]].append((i, e))
-        if e[2] != e[0]:
-            inc[e[2]].append((i, e))
-    out: set[tuple[int, ...]] = set()
-
-    def explore(v: int, last: Optional[tuple[int, int]], label: tuple[int, ...]):
-        if v == base:
-            out.add(label)
-        if len(label) == max_len:
-            return
-        for i, (o, x, t) in inc[v]:
-            for src, code, far, direction in (
-                (o, 2 * x, t, 1),
-                (t, 2 * x + 1, o, -1),
-            ):
-                if src != v:
-                    continue
-                if last is not None and last == (i, -direction):
-                    continue  # immediate backtrack over the same edge
-                explore(far, (i, direction), label + (code,))
-
-    explore(base, None, ())
-    return out

@@ -39,8 +39,8 @@ def intersection(h: SubgroupGraph, k: SubgroupGraph) -> SubgroupGraph:
 class ComponentReport:
     """One connected component of a product graph.
 
-    ``rank`` is #E - #V + 1 of the component's core at the
-    representative vertex.  For a component away from the base pair
+    ``rank`` is #E - #V + 1 of the component, which equals the rank of
+    its core at any vertex.  For a component away from the base pair
     with positive rank, ``double_coset_witness`` is a verified g with
     ``g H g^-1 n K`` nontrivial and g outside the base double coset.
     """
@@ -73,18 +73,15 @@ def component_analysis(h: SubgroupGraph, k: SubgroupGraph) -> list[ComponentRepo
     reports = []
     for comp in connected_components(prod.graph):
         has_base = base_id in comp.vertices
-        rep_id = comp.vertices[0]
-        v, u = prod.pairs[rep_id]
-        local_rep = comp.vertices.index(rep_id)
-        cored, _ = core(comp.graph, local_rep)
-        comp_rank = len(cored.edges) - cored.vertex_count + 1
+        v, u = prod.pairs[comp.vertices[0]]
+        comp_rank = len(comp.graph.edges) - comp.graph.vertex_count + 1
         witness = None
         if not has_base and comp_rank > 0:
             sigma = tree_h.path_word(v)
             tau = tree_k.path_word(u)
             witness = multiply(tau, invert(sigma))
-            conj_meet = intersection(conjugate(h, witness), k)
-            assert rank(conj_meet) >= 1, "witness must realize a nontrivial conjugate intersection"
+            if intersection(conjugate(h, witness), k).is_trivial():
+                raise AssertionError("witness must realize a nontrivial conjugate intersection")
         reports.append(
             ComponentReport(comp.graph, has_base, (v, u), comp_rank, witness)
         )
@@ -101,7 +98,8 @@ def is_malnormal(h: SubgroupGraph) -> tuple[bool, Optional[Word]]:
     for report in component_analysis(h, h):
         if not report.contains_base_pair and report.rank > 0:
             g = report.double_coset_witness
-            assert g is not None and not contains(h, g)
+            if g is None or contains(h, g):
+                raise AssertionError("malnormality witness must lie outside H")
             return False, g
     return True, None
 
@@ -150,24 +148,3 @@ def hanna_neumann_check(h: SubgroupGraph, k: SubgroupGraph) -> bool:
     if meet.is_trivial():
         return True
     return rank(meet) - 1 <= (rank(h) - 1) * (rank(k) - 1)
-
-
-def wedge_graph(gens: Sequence[Word]) -> XDigraph:
-    """The wedge of loops spelling ``gens``, unfolded; used to cross-check
-    the immersion criterion against foldedness."""
-    if not gens:
-        raise InvalidInputError("wedge_graph needs at least one generator")
-    alphabet = gens[0].alphabet
-    edges = []
-    n = 1
-    for w in gens:
-        prev = 0
-        for i, code in enumerate(w.codes):
-            nxt = 0 if i == len(w.codes) - 1 else n + i
-            if code & 1 == 0:
-                edges.append((prev, code >> 1, nxt))
-            else:
-                edges.append((nxt, code >> 1, prev))
-            prev = nxt
-        n += max(len(w.codes) - 1, 0)
-    return XDigraph(alphabet, n, edges)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import AbstractSet, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     AlphabetMismatchError,
@@ -136,21 +136,32 @@ def stallings_graph(
     for w in gens:
         if w.alphabet != alphabet:
             raise AlphabetMismatchError("generators must share the given alphabet")
-        if not w.codes:
-            continue
-        prev = 0
-        for i, code in enumerate(w.codes):
-            nxt = 0 if i == len(w.codes) - 1 else n + i
-            if code & 1 == 0:
-                edges.append((prev, code >> 1, nxt))
-            else:
-                edges.append((nxt, code >> 1, prev))
-            prev = nxt
-        n += len(w.codes) - 1
+        n = _spell_path(edges, 0, w.codes, n, end=0)
     wedge = XDigraph(alphabet, n, edges)
     folded, vmap = fold_all(wedge, rng)
     cored, cmap = core(folded, vmap[0])
     return SubgroupGraph(cored, cmap[vmap[0]])
+
+
+def _spell_path(
+    edges: list[Edge], start: int, codes: Sequence[int], fresh: int, end: Optional[int] = None
+) -> int:
+    """Append to ``edges`` a path that spells ``codes`` from ``start``.
+
+    The path runs through fresh vertices numbered from ``fresh``; when
+    ``end`` is given, its last step closes on ``end`` instead.  Returns
+    the next unused vertex number.
+    """
+    v = start
+    last = len(codes) - 1
+    for i, code in enumerate(codes):
+        if i == last and end is not None:
+            w = end
+        else:
+            w, fresh = fresh, fresh + 1
+        edges.append(_step_edge(v, code, w))
+        v = w
+    return fresh
 
 
 def contains(h: SubgroupGraph, w: Word) -> bool:
@@ -192,7 +203,7 @@ class SpanningTree:
         return Word(self.host.alphabet, self.path_codes(v))
 
 
-def _tree_edge(v: int, code: int, w: int) -> Edge:
+def _step_edge(v: int, code: int, w: int) -> Edge:
     """Positive edge triple underlying the step v --code--> w."""
     return (v, code >> 1, w) if code & 1 == 0 else (w, code >> 1, v)
 
@@ -206,7 +217,22 @@ def spanning_tree(
     the exploration order, which varies the tree but never the rank of
     the resulting basis.
     """
-    host = g.graph
+    return _grow_tree(g.graph, g.base, geodesic, rng)
+
+
+def _grow_tree(
+    host: XDigraph,
+    root: int,
+    geodesic: bool,
+    rng: Optional[Random] = None,
+    allowed: Optional[AbstractSet[Edge]] = None,
+) -> SpanningTree:
+    """Spanning tree of a folded graph, grown over its step maps.
+
+    Breadth-first when ``geodesic``, depth-first otherwise.  When
+    ``allowed`` is given, only its edges may enter the tree.  Raises
+    unless the tree spans the graph and uses every allowed edge.
+    """
     steps = host.step_maps()
     n = host.vertex_count
     parent = [0] * n
@@ -214,8 +240,8 @@ def spanning_tree(
     depth = [0] * n
     tree_edges: set[Edge] = set()
     seen = [False] * n
-    seen[g.base] = True
-    frontier = deque([g.base])
+    seen[root] = True
+    frontier = deque([root])
     while frontier:
         v = frontier.popleft() if geodesic else frontier.pop()
         codes = sorted(steps[v])
@@ -225,15 +251,19 @@ def spanning_tree(
             w = steps[v][code]
             if seen[w]:
                 continue
+            e = _step_edge(v, code, w)
+            if allowed is not None and e not in allowed:
+                continue
             seen[w] = True
             parent[w] = v
             enter[w] = code
             depth[w] = depth[v] + 1
-            tree_edges.add(_tree_edge(v, code, w))
+            tree_edges.add(e)
             frontier.append(w)
-    assert all(seen), "spanning tree requires a connected graph"
+    if not all(seen) or (allowed is not None and len(tree_edges) != len(allowed)):
+        raise InvalidInputError("the edges do not form a spanning tree of the graph")
     return SpanningTree(
-        host, g.base, frozenset(tree_edges), tuple(parent), tuple(enter),
+        host, root, frozenset(tree_edges), tuple(parent), tuple(enter),
         tuple(depth), geodesic,
     )
 
@@ -262,19 +292,20 @@ def basis(g: SubgroupGraph, tree: Optional[SpanningTree] = None) -> Basis:
     """
     if tree is None:
         tree = spanning_tree(g, geodesic=True)
-    alph = g.alphabet
-    elements = []
-    prov = []
-    for e in non_tree_edges(g, tree):
-        o, x, t = e
-        codes = tree.path_codes(o) + (2 * x,) + tuple(
-            c ^ 1 for c in reversed(tree.path_codes(t))
-        )
-        elements.append(free_reduce(alph, codes))
-        prov.append(e)
-    b = Basis(tuple(elements), tuple(prov))
-    assert len(b) == len(g.graph.edges) - g.vertex_count + 1
+    prov = tuple(non_tree_edges(g, tree))
+    b = Basis(tuple(_loop_word(tree, e) for e in prov), prov)
+    if len(b) != rank(g):
+        raise AssertionError("a tree basis needs #E - #V + 1 elements")
     return b
+
+
+def _loop_word(tree: SpanningTree, e: Edge) -> Word:
+    """Basis element ``(path to o(e)) e (path from t(e))`` of a non-tree edge."""
+    o, x, t = e
+    codes = tree.path_codes(o) + (2 * x,) + tuple(
+        c ^ 1 for c in reversed(tree.path_codes(t))
+    )
+    return free_reduce(tree.host.alphabet, codes)
 
 
 def rank(g: SubgroupGraph) -> int:
@@ -296,7 +327,7 @@ def rewrite_in_basis(g: SubgroupGraph, tree: SpanningTree, w: Word) -> tuple[int
         nxt = g.graph.step(v, code)
         if nxt is None:
             raise NotAMemberError("word does not lie in the subgroup")
-        e = _tree_edge(v, code, nxt)
+        e = _step_edge(v, code, nxt)
         if e not in tree.edges:
             out.append(order[e] if code & 1 == 0 else -order[e])
         v = nxt
@@ -420,19 +451,10 @@ def conjugate(g: SubgroupGraph, w: Word) -> SubgroupGraph:
         i -= 1
     y = codes[:i]  # unread head; attach its inverse as a stem
     edges = list(g.graph.edges)
-    n = g.graph.vertex_count
-    cur = u
-    for code in reversed(y):
-        inv = code ^ 1
-        if inv & 1 == 0:
-            edges.append((cur, inv >> 1, n))
-        else:
-            edges.append((n, inv >> 1, cur))
-        cur = n
-        n += 1
-    attached = XDigraph(g.alphabet, n, edges)
-    cored, cmap = core(attached, cur)
-    return SubgroupGraph(cored, cmap[cur])
+    n = _spell_path(edges, u, [c ^ 1 for c in reversed(y)], g.graph.vertex_count)
+    base = n - 1 if y else u
+    cored, cmap = core(XDigraph(g.alphabet, n, edges), base)
+    return SubgroupGraph(cored, cmap[base])
 
 
 def conjugacy_equivalent(h: SubgroupGraph, k: SubgroupGraph) -> Optional[Word]:
@@ -544,35 +566,18 @@ def hall_completion(h: SubgroupGraph, g: Word) -> HallCompletion:
             break
         v = nxt
         i += 1
-    edges = list(graph.edges)
-    n = graph.vertex_count
-    chain_edges: list[Edge] = []
-    cur = v
-    for code in g.codes[i:]:
-        if code & 1 == 0:
-            chain_edges.append((cur, code >> 1, n))
-        else:
-            chain_edges.append((n, code >> 1, cur))
-        cur = n
-        n += 1
-    aug = XDigraph(graph.alphabet, n, edges + chain_edges)
-    complete = regular_complete(aug)
+    chain: list[Edge] = []
+    n = _spell_path(chain, v, g.codes[i:], graph.vertex_count)
+    complete = regular_complete(XDigraph(graph.alphabet, n, graph.edges + tuple(chain)))
 
-    tree_h = spanning_tree(h, geodesic=True)
-    tree_edges = set(tree_h.edges) | set(chain_edges)
-    tree = _tree_from_edges(complete, h.base, tree_edges)
+    tree_edges = spanning_tree(h, geodesic=True).edges | set(chain)
+    tree = _grow_tree(complete, h.base, geodesic=False, allowed=tree_edges)
     h_edges = set(graph.edges)
     basis_h: list[Word] = []
     basis_c: list[Word] = []
     for e in complete.edges:
-        if e in tree.edges:
-            continue
-        o, x, t = e
-        codes = tree.path_codes(o) + (2 * x,) + tuple(
-            c ^ 1 for c in reversed(tree.path_codes(t))
-        )
-        word = free_reduce(complete.alphabet, codes)
-        (basis_h if e in h_edges else basis_c).append(word)
+        if e not in tree.edges:
+            (basis_h if e in h_edges else basis_c).append(_loop_word(tree, e))
     return HallCompletion(SubgroupGraph(complete, h.base), tuple(basis_h), tuple(basis_c))
 
 
@@ -582,40 +587,9 @@ def spanning_tree_from_edges(
     """Spanning tree over an explicitly prescribed edge set.
 
     Useful for fixtures where a particular highlighted tree matters;
-    raises when the edges do not span the graph.
+    raises when the edges are not exactly a spanning tree of the graph.
     """
-    return _tree_from_edges(g.graph, g.base, set(tree_edges))
-
-
-def _tree_from_edges(host: XDigraph, root: int, tree_edges: set[Edge]) -> SpanningTree:
-    """Spanning-tree structure over a prescribed edge set."""
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(host.vertex_count)}
-    for o, x, t in tree_edges:
-        adj[o].append((2 * x, t))
-        adj[t].append((2 * x + 1, o))
-    parent = [0] * host.vertex_count
-    enter: list[Optional[int]] = [None] * host.vertex_count
-    depth = [0] * host.vertex_count
-    seen = [False] * host.vertex_count
-    seen[root] = True
-    queue = deque([root])
-    count = 1
-    while queue:
-        v = queue.popleft()
-        for code, w in sorted(adj[v]):
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = v
-                enter[w] = code
-                depth[w] = depth[v] + 1
-                queue.append(w)
-                count += 1
-    if count != host.vertex_count:
-        raise InvalidInputError("prescribed edges do not span the graph")
-    return SpanningTree(
-        host, root, frozenset(tree_edges), tuple(parent), tuple(enter),
-        tuple(depth), geodesic=False,
-    )
+    return _grow_tree(g.graph, g.base, geodesic=False, allowed=set(tree_edges))
 
 
 def rebase_inside(m: SubgroupGraph, h: SubgroupGraph) -> SubgroupGraph:

@@ -63,7 +63,8 @@ class WhiteheadAuto:
                 else:
                     images[code >> 1] = (2 * i + 1,)
             return WhiteheadAuto(self.alphabet, "permutation", tuple(images))
-        assert self.multiplier is not None and self.carrier is not None
+        if self.multiplier is None or self.carrier is None:
+            raise AssertionError("a multiplier automorphism needs its multiplier and carrier")
         a = self.multiplier
         carrier = frozenset(
             {a ^ 1} | {x for x in self.carrier if x != self.multiplier}

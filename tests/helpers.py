@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from random import Random
+from typing import Optional, Sequence
 
-from freegroups.graph import XDigraph, fold_all
-from freegroups.subgroup import SubgroupGraph, stallings_graph
+from freegroups.errors import InvalidInputError
+from freegroups.graph import Edge, Morphism, Subgraph, XDigraph, fold_all
+from freegroups.subgroup import SubgroupGraph, _spell_path, stallings_graph
 from freegroups.words import Alphabet, Word, free_reduce, identity, invert, multiply
 
 AB = Alphabet.from_string("ab")
@@ -110,3 +112,87 @@ def exponents_in(h, word: Word, limit: int = 40) -> set[int]:
         if contains(h, acc):
             out.add(n)
     return out
+
+
+def language_words(g: XDigraph, base: int, max_len: int) -> set[tuple[int, ...]]:
+    """All labels of reduced base loops of length <= max_len.
+
+    Exhaustive DFS over reduced paths; independent of the folded-graph
+    tracing used by membership, so tests can use it as an oracle.  On a
+    folded graph this is exactly the set of accepted freely reduced
+    words up to that length.
+    """
+    inc: list[list[tuple[int, Edge]]] = [[] for _ in range(g.vertex_count)]
+    for i, e in enumerate(g.edges):
+        inc[e[0]].append((i, e))
+        if e[2] != e[0]:
+            inc[e[2]].append((i, e))
+    out: set[tuple[int, ...]] = set()
+
+    def explore(v: int, last: Optional[tuple[int, int]], label: tuple[int, ...]):
+        if v == base:
+            out.add(label)
+        if len(label) == max_len:
+            return
+        for i, (o, x, t) in inc[v]:
+            for src, code, far, direction in (
+                (o, 2 * x, t, 1),
+                (t, 2 * x + 1, o, -1),
+            ):
+                if src != v:
+                    continue
+                if last is not None and last == (i, -direction):
+                    continue  # immediate backtrack over the same edge
+                explore(far, (i, direction), label + (code,))
+
+    explore(base, None, ())
+    return out
+
+
+def is_subgraph_embedding(m: Morphism, a: XDigraph, b: XDigraph) -> bool:
+    """True iff ``m`` embeds ``a`` into ``b`` injectively on vertices and edges."""
+    if not m.is_injective():
+        return False
+    images = {(m(o), x, m(t)) for o, x, t in a.edges}
+    return len(images) == len(a.edges) and images <= set(b.edges)
+
+
+def spans(sub: Subgraph, host: XDigraph) -> bool:
+    """True iff the subgraph has every vertex and every edge of the host."""
+    return len(sub.vertices) == host.vertex_count and len(sub.edges) == len(host.edges)
+
+
+def wedge_graph(gens: Sequence[Word]) -> XDigraph:
+    """The wedge of loops spelling ``gens``, unfolded; used to cross-check
+    the immersion criterion against foldedness."""
+    if not gens:
+        raise InvalidInputError("wedge_graph needs at least one generator")
+    edges: list[Edge] = []
+    n = 1
+    for w in gens:
+        n = _spell_path(edges, 0, w.codes, n, end=0)
+    return XDigraph(gens[0].alphabet, n, edges)
+
+
+def naive_fold(g: XDigraph) -> tuple[set[frozenset[int]], set[tuple]]:
+    """Reference fold: while some vertex has two equally labelled
+    half-edges, identify their far ends.
+
+    Returns the partition of the vertices and the folded edge set, each
+    edge given as (block of origin, letter, block of terminus).
+    """
+    block = list(range(g.vertex_count))  # vertex -> block label
+    while True:
+        far_end: dict[tuple[int, int], int] = {}
+        clash = None
+        for o, x, t in g.edges:
+            for key, far in (((block[o], 2 * x), block[t]), ((block[t], 2 * x + 1), block[o])):
+                if far_end.setdefault(key, far) != far:
+                    clash = (far_end[key], far)
+        if clash is None:
+            break
+        keep, gone = clash
+        block = [keep if b == gone else b for b in block]
+    members = {b: frozenset(v for v, c in enumerate(block) if c == b) for b in set(block)}
+    edges = {(members[block[o]], x, members[block[t]]) for o, x, t in g.edges}
+    return set(members.values()), edges

@@ -22,8 +22,6 @@ from freegroups.graph import (
     canonical_morphism,
     core,
     graph_from_json,
-    is_subgraph_embedding,
-    language_words,
     product,
 )
 from freegroups.intersect import (
@@ -65,6 +63,8 @@ from helpers import (
     AB,
     ABC,
     A1,
+    is_subgraph_embedding,
+    language_words,
     product_words,
     rand_gens,
     rand_subgroup,

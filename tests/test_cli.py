@@ -154,6 +154,35 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
 
 
+ROSE_A = {"alphabet": "ab", "vertices": 1, "base": 0, "edges": [[0, "a", 0]]}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("edges", 5),
+        ("edges", None),
+        ("edges", [None]),
+        ("edges", [[0, "a"]]),
+        ("edges", [[0, "a", 0, 0]]),
+        ("edges", [[0, ["a"], 0]]),
+        ("edges", [[0.9, "a", 0]]),
+        ("edges", [[0, "a", False]]),
+        ("vertices", 1.0),
+        ("vertices", True),
+        ("vertices", "1"),
+        ("base", 0.7),
+        ("base", False),
+        ("alphabet", 5),
+    ],
+)
+def test_malformed_graph_json_exit_2(capsys, field, value):
+    # a malformed record ends in a usage error: no traceback, no coercion
+    record = json.dumps({**ROSE_A, field: value})
+    code, _, err = run(capsys, "--alphabet", "ab", "member", "--sub", record, "--word", "a")
+    assert code == 2 and err.startswith("error:")
+
+
 def test_resource_limit_exit_3(capsys):
     code, _, err = run(capsys, "--alphabet", "ab", "quotients", "--sub", "ababababababab")
     assert code == 3 and "limit" in err

@@ -3,6 +3,8 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freegroups.errors import InvalidInputError
 from freegroups.graph import (
@@ -17,7 +19,6 @@ from freegroups.graph import (
     graph_to_json,
     is_folded,
     is_regular,
-    language_words,
     product,
     regular_complete,
     to_dot,
@@ -28,7 +29,7 @@ from freegroups.graph import (
 from freegroups.subgroup import contains, full_group, stallings_graph
 from freegroups.words import parse_word
 
-from helpers import AB, ABC, rand_gens, rand_subgroup
+from helpers import AB, ABC, language_words, naive_fold, rand_gens, rand_subgroup
 
 P = lambda s: parse_word(s, AB)
 
@@ -85,6 +86,26 @@ def test_fold_confluence_random_orders():
         a = stallings_graph(AB, gens, rng=Random(rng.randrange(10**6)))
         b = stallings_graph(AB, gens, rng=Random(rng.randrange(10**6)))
         assert a == b  # canonical form makes based-isomorphism equality
+
+
+@st.composite
+def multigraphs(draw):
+    """Small graphs with loops, multi-edges and possibly several components."""
+    n = draw(st.integers(1, 7))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, st.integers(0, 2), vertex), max_size=12))
+    return XDigraph(ABC, n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs(), st.one_of(st.none(), st.integers(0, 2**32)))
+def test_fold_all_matches_naive_fold(g, seed):
+    folded, vmap = fold_all(g, None if seed is None else Random(seed))
+    blocks = [frozenset(v for v in range(g.vertex_count) if vmap[v] == i)
+              for i in range(folded.vertex_count)]
+    edges = {(blocks[o], x, blocks[t]) for o, x, t in folded.edges}
+    assert (set(blocks), edges) == naive_fold(g)
+    assert len(edges) == len(folded.edges)
 
 
 def test_fold_language_soundness_random_multigraphs():

@@ -1,5 +1,9 @@
 """Intersections, component reports, malnormality, immersion."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -13,7 +17,6 @@ from freegroups.intersect import (
     is_cyclonormal,
     is_immersed,
     is_malnormal,
-    wedge_graph,
 )
 from freegroups.subgroup import (
     conjugate,
@@ -25,7 +28,7 @@ from freegroups.subgroup import (
 )
 from freegroups.words import format_word, parse_word
 
-from helpers import AB, exponents_in, rand_gens, rand_subgroup, rand_word
+from helpers import AB, exponents_in, rand_gens, rand_subgroup, rand_word, wedge_graph
 
 P = lambda s: parse_word(s, AB)
 
@@ -211,3 +214,25 @@ def test_hanna_neumann_examples():
     assert hanna_neumann_check(
         stallings_graph(AB, [P("a")]), stallings_graph(AB, [P("b")])
     )  # trivial intersection, vacuous
+
+
+def test_witness_check_survives_optimize_flag():
+    # with intersection patched to answer "trivial", the witness of the
+    # non-malnormal <aa> fails its check; under -O that check must still run
+    script = """
+import freegroups.intersect as fi
+from freegroups.subgroup import stallings_graph, trivial_subgroup
+from freegroups.words import Alphabet, parse_word
+ab = Alphabet.from_string("ab")
+fi.intersection = lambda h, k: trivial_subgroup(h.alphabet)
+try:
+    fi.is_malnormal(stallings_graph(ab, [parse_word("aa", ab)]))
+except AssertionError:
+    print("raised")
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.stdout.strip() == "raised", done.stderr

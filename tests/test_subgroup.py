@@ -34,6 +34,7 @@ from freegroups.subgroup import (
     rewrite_in_basis,
     schreier_check,
     spanning_tree,
+    spanning_tree_from_edges,
     stallings_graph,
     trivial_subgroup,
 )
@@ -93,6 +94,16 @@ def test_spanning_tree_two_cycle():
 def test_spanning_tree_rose_empty():
     tree = spanning_tree(full_group(AB))
     assert tree.edges == frozenset()
+
+
+def test_spanning_tree_from_edges_rejects_non_trees():
+    g = stallings_graph(AB, [P("ab"), P("ba")])
+    tree = spanning_tree_from_edges(g, [(0, 0, 1), (2, 0, 0)])
+    assert len(basis(g, tree)) == rank(g) == 2
+    with pytest.raises(InvalidInputError):
+        spanning_tree_from_edges(g, g.graph.edges)  # all four edges: has a cycle
+    with pytest.raises(InvalidInputError):
+        spanning_tree_from_edges(g, [(0, 0, 1), (0, 0, 2)])  # (0, a, 2) is not an edge
 
 
 def test_geodesic_tree_depths():

@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from freegroups.errors import InvalidInputError
-from freegroups.graph import canonical_morphism, core, is_subgraph_embedding
+from freegroups.graph import canonical_morphism, core
 from freegroups.subgroup import (
     SubgroupGraph,
     basis,
@@ -27,7 +27,7 @@ from freegroups.whitehead import (
 )
 from freegroups.words import format_word, parse_word
 
-from helpers import AB, A1, rand_gens, rand_subgroup, rand_word
+from helpers import AB, A1, is_subgraph_embedding, rand_gens, rand_subgroup, rand_word
 
 P = lambda s: parse_word(s, AB)
 
