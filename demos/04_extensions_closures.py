@@ -63,6 +63,6 @@ for p in (2, 3, 5):
     h = stallings_graph(A, [parse_word("a" * p, A)])
     result = is_isolated(h)
     word, m = result.witness
-    print(f"  <a^{p}> isolated: {result.isolated} (witness {format_word(word)}^{m}, search complete: {result.complete})")
+    print(f"  <a^{p}> isolated: {result.isolated} (witness {format_word(word)}^{m}, complete: {result.complete})")
 a6 = stallings_graph(A, [parse_word("aaaaaa", A)])
 print("  isolator of <a^6> in F(a):", graph_to_json(isolator(a6).based))

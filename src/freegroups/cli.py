@@ -158,7 +158,8 @@ def _build_parser() -> argparse.ArgumentParser:
     kind.add_argument("--malnormal", action="store_true")
     kind.add_argument("--isolated", action="store_true")
     p = add("isolated", help="isolation (root-closure) test")
-    p.add_argument("--depth", type=int, help="override the search length bound")
+    p.add_argument("--depth", type=int,
+                   help="accepted for compatibility; the test is exact and ignores it")
     add("dot", help="DOT export of the subgroup graph")
     return parser
 
@@ -368,13 +369,11 @@ def _dispatch(args, alphabet: Alphabet) -> int:
 
     if verb == "isolated":
         (h,) = _need_subs(args, alphabet, 1)
-        result = ext.is_isolated(h, depth_override=args.depth)
+        result = ext.is_isolated(h)
         cert: dict = {}
         if result.witness is not None:
             word, m = result.witness
             cert = {"witness": format_word(word), "power": m}
-        if not result.complete:
-            cert["complete"] = False
         return _answer(result.isolated, args, cert)
 
     if verb == "dot":

@@ -3,23 +3,34 @@
 Every overgroup H >= K that is "algebraic" (admits no decomposition
 ``K' * C`` with ``K <= K'`` and ``C`` nontrivial) appears among the
 principal quotients of the graph of K, so the finitely many quotients
-enumerate all algebraic extensions.  Filtering them with the
-free-factor test classifies any extension, yields the algebraic
-closure, and combined with the malnormality and isolation tests yields
+enumerate all algebraic extensions.  The quotients are reached by
+single vertex identifications, each followed by folding, and these
+steps form a directed acyclic graph on them.  A step raises the rank
+by at most one.  When it raises it by exactly one, the target is
+generated by a basis of the source plus one element, so the source is
+a free factor of the target.  For quotients S <= Q the graph of S maps
+onto the graph of Q, and S is a free factor of Q exactly when
+rk Q - rk S steps lead from S to Q (Puder, Israel J. Math. 201, 2014),
+that is, when a chain of steps that each raise the rank by one does.
+Free factors among quotients are read off the step graph this way, with
+no Whitehead search.  That classifies any extension and yields the
+algebraic closure; with the malnormality test and the exact isolation
+test, which searches the transition monoid of the graph, it yields
 malnormal closures and isolators.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 from .errors import InvalidInputError, ResourceLimitError
 from .graph import Morphism, Subgraph, XDigraph, canonical_morphism, fold_all, transport
 from .intersect import is_malnormal
-from .subgroup import SubgroupGraph, contains, power_in, rank
-from .whitehead import DEFAULT_PLATEAU_BUDGET, is_free_factor, is_free_factor_of_ambient
-from .words import Word, reduced_words
+from .subgroup import SubgroupGraph, contains, power_in, rank, spanning_tree
+from .whitehead import DEFAULT_PLATEAU_BUDGET, is_free_factor_of_ambient
+from .words import Word, free_reduce
 
 DEFAULT_QUOTIENT_VERTEX_BOUND = 12
 DEFAULT_ISOLATED_STATE_LIMIT = 10**6
@@ -27,10 +38,16 @@ DEFAULT_ISOLATED_STATE_LIMIT = 10**6
 
 @dataclass(frozen=True)
 class PrincipalQuotient:
-    """A folded core quotient of a subgroup graph, with the epimorphism."""
+    """A folded core quotient of a subgroup graph, with the epimorphism.
+
+    ``step_sources`` holds the canonical keys of the quotients from
+    which one vertex identification, followed by folding, leads to this
+    one; over all quotients these steps form a directed acyclic graph.
+    """
 
     graph: SubgroupGraph
     quotient_map: Morphism  # from the source subgroup graph onto `graph`
+    step_sources: frozenset[tuple] = frozenset()
 
 
 def principal_quotients(
@@ -42,8 +59,9 @@ def principal_quotients(
     identifications followed by complete folding; every epimorphism
     onto a folded graph factors through such steps, and images of core
     graphs stay core, so this generates exactly the quotient set while
-    pruning isomorphic duplicates early.  Includes the graph of K
-    itself.  Ordered by decreasing vertex count, then canonical form.
+    pruning isomorphic duplicates early.  Every step taken is recorded
+    in ``step_sources``.  Includes the graph of K itself.  Ordered by
+    decreasing vertex count, then canonical form.
     """
     if k.vertex_count > max_vertices:
         raise ResourceLimitError(
@@ -54,9 +72,11 @@ def principal_quotients(
     found: dict[tuple, PrincipalQuotient] = {
         k.canonical_key(): PrincipalQuotient(k, identity)
     }
+    sources: dict[tuple, set[tuple]] = {k.canonical_key(): set()}
     frontier = [found[k.canonical_key()]]
     while frontier:
         pq = frontier.pop()
+        source = pq.graph.canonical_key()
         g = pq.graph.graph
         for u in range(g.vertex_count):
             for v in range(u + 1, g.vertex_count):
@@ -64,9 +84,11 @@ def principal_quotients(
                 key = quotient.graph.canonical_key()
                 if key not in found:
                     found[key] = quotient
+                    sources[key] = set()
                     frontier.append(quotient)
+                sources[key].add(source)
     return sorted(
-        found.values(),
+        (replace(pq, step_sources=frozenset(sources[key])) for key, pq in found.items()),
         key=lambda pq: (-pq.graph.vertex_count, pq.graph.canonical_key()),
     )
 
@@ -95,6 +117,25 @@ def _identify_and_fold(
         renumber[fmap[squash(prior(w))]] for w in range(len(prior.vertex_map))
     )
     return PrincipalQuotient(quotient, Morphism(vertex_map))
+
+
+def _free_factor_keys(
+    target: PrincipalQuotient, by_key: dict[tuple, PrincipalQuotient]
+) -> set[tuple]:
+    """Canonical keys of the quotients that are free factors of
+    ``target``: those from which a chain of steps, each raising the rank
+    by one, leads to it (``target`` included)."""
+    found = {target.graph.canonical_key()}
+    stack = [target]
+    while stack:
+        pq = stack.pop()
+        r = rank(pq.graph)
+        for key in pq.step_sources:
+            src = by_key[key]
+            if key not in found and rank(src.graph) == r - 1:
+                found.add(key)
+                stack.append(src)
+    return found
 
 
 def relative_image(k: SubgroupGraph, h: SubgroupGraph) -> Subgraph:
@@ -140,23 +181,27 @@ def is_algebraic_extension(
 ) -> ExtensionVerdict:
     """Classify the extension K <= H as algebraic or free.
 
-    The extension is free iff some principal quotient of the graph of K
-    lands in H as a proper free factor; a proper free factor must have
-    strictly smaller rank, so candidates are prefiltered by rank and by
-    the existence of a morphism into the graph of H.
+    The extension is free iff some principal quotient Q of the graph of
+    K lands in H as a proper free factor, so Q has smaller rank than H.
+    The image D of the graph of K in the graph of H is itself a
+    quotient, its subgroup is a free factor of H, and Q <= H exactly
+    when Q maps onto D.  So Q is a free factor of H iff it is a free
+    factor of D, which the step graph of the quotients decides.
+    Candidates are tried in quotient order and the first free factor is
+    returned.  ``plateau_budget`` is accepted for compatibility and has
+    no effect.
     """
     if canonical_morphism(k.based, h.based) is None:
         raise InvalidInputError("is_algebraic_extension needs K to be a subgroup of H")
     quotients = principal_quotients(k, max_vertices)
+    by_key = {pq.graph.canonical_key(): pq for pq in quotients}
+    image = relative_image(k, h)
+    delta = SubgroupGraph(image.as_xdigraph(h.graph), image.vertices.index(h.base))
+    factors = _free_factor_keys(by_key[delta.canonical_key()], by_key)
     rh = rank(h)
     for pq in quotients:
-        candidate = pq.graph
-        if rank(candidate) >= rh:
-            continue
-        if canonical_morphism(candidate.based, h.based) is None:
-            continue
-        if is_free_factor(candidate, h, plateau_budget):
-            return ExtensionVerdict("free", candidate, len(quotients))
+        if rank(pq.graph) < rh and pq.graph.canonical_key() in factors:
+            return ExtensionVerdict("free", pq.graph, len(quotients))
     return ExtensionVerdict("algebraic", None, len(quotients))
 
 
@@ -167,32 +212,19 @@ def algebraic_extensions(
 ) -> list[SubgroupGraph]:
     """All algebraic extensions of K, in quotient order (K first).
 
-    Complete because every algebraic extension is a principal quotient;
-    the free ones are recognized by exhibiting a smaller-rank quotient
-    that is a proper free factor, with results memoized across the
-    candidate pairs.
+    Complete because every algebraic extension is a principal quotient.
+    A quotient H has a proper free factor among the quotients iff one
+    step into H raises the rank by one (the last step of a chain of
+    such steps), so H is algebraic over K iff no step into it does.
+    ``plateau_budget`` is accepted for compatibility and has no effect.
     """
-    quotients = [pq.graph for pq in principal_quotients(k, max_vertices)]
-    memo: dict[tuple[tuple, tuple], bool] = {}
-
-    def free_factor(a: SubgroupGraph, b: SubgroupGraph) -> bool:
-        key = (a.canonical_key(), b.canonical_key())
-        if key not in memo:
-            memo[key] = is_free_factor(a, b, plateau_budget)
-        return memo[key]
-
-    out = []
-    for h in quotients:
-        rh = rank(h)
-        free = any(
-            rank(s) < rh
-            and canonical_morphism(s.based, h.based) is not None
-            and free_factor(s, h)
-            for s in quotients
-        )
-        if not free:
-            out.append(h)
-    return out
+    quotients = principal_quotients(k, max_vertices)
+    ranks = {pq.graph.canonical_key(): rank(pq.graph) for pq in quotients}
+    return [
+        pq.graph
+        for pq in quotients
+        if all(ranks[s] != rank(pq.graph) - 1 for s in pq.step_sources)
+    ]
 
 
 def algebraic_closure(
@@ -218,12 +250,11 @@ def is_algebraically_closed(
 
 
 class IsolationResult(NamedTuple):
-    """Outcome of the isolation search.
+    """Outcome of the isolation test.
 
-    ``complete`` is True when the verdict is unconditional: either a
-    verified witness was found, or every candidate up to the full
-    length bound was exhausted.  A bounded search that found nothing is
-    reported with ``complete=False``, never silently upgraded.
+    The test is exact, so ``complete`` is always True: either a
+    verified witness was found, or the whole transition monoid was
+    searched.  The field is kept so callers can keep checking it.
     """
 
     isolated: bool
@@ -232,8 +263,9 @@ class IsolationResult(NamedTuple):
 
 
 def isolation_length_bound(h: SubgroupGraph) -> int:
-    """Length bound for root candidates: with n letters and k vertices,
-    ``[(2n)^k k^(2k) + 1](k+1) + 2k``."""
+    """The paper's length bound for root candidates: with n letters and
+    k vertices, ``[(2n)^k k^(2k) + 1](k+1) + 2k``.  The isolation test
+    itself does not enumerate words and does not use it."""
     n = h.alphabet.size
     k = h.vertex_count
     return ((2 * n) ** k * k ** (2 * k) + 1) * (k + 1) + 2 * k
@@ -244,39 +276,94 @@ def is_isolated(
     depth_override: Optional[int] = None,
     state_limit: int = DEFAULT_ISOLATED_STATE_LIMIT,
 ) -> IsolationResult:
-    """Search for a root outside H: f with f not in H but f^m in H.
+    """Decide whether H is isolated: no f outside H has a power in H.
 
-    Candidates f run through all reduced words up to the length bound
-    (or ``depth_override``), powers through ``2 <= m <= #V``; larger
-    powers reduce to this range.  A single-vertex graph is a sub-rose,
-    hence a free factor of the ambient group, hence isolated with no
-    search at all.  Without an override, exceeding ``state_limit``
-    examined candidates raises a resource-limit error naming the bound.
+    Each word d acts on the vertices of the graph as a partial
+    injection; these form the transition monoid, searched breadth-first
+    from the identity by appending one signed letter at a time in code
+    order.  H is not isolated iff some element d moves a vertex u0
+    around a cycle of length m >= 2.  Then, with c the geodesic-tree
+    path to u0, f = c d c^-1 is a witness: f^m reads a loop at the
+    base, and in an X-regular completion of the graph, where words act
+    as permutations, no smaller positive power of f fixes the base.
+    Conversely, if f is not in H but f^m is, write f = c d c^-1 with d
+    cyclically reduced; d^m reads a loop at the end u0 of c, and d
+    moves u0, so u0 lies on a cycle of length >= 2.  An exhausted
+    monoid therefore proves isolation.  The witness is checked against
+    ``contains`` and ``power_in`` before it is returned.
+
+    Deciding isolation is PSPACE-complete in general, so the number of
+    monoid elements is capped at ``state_limit``; exceeding it raises a
+    resource-limit error.  ``depth_override`` is accepted for
+    compatibility and has no effect.
     """
-    if h.vertex_count == 1 or h.alphabet.size == 0:
-        return IsolationResult(True, None, True)
-    bound = isolation_length_bound(h)
-    depth = bound if depth_override is None else depth_override
-    examined = 0
-    for f in reduced_words(h.alphabet, depth):
-        if not f.codes:
-            continue
-        if depth_override is None:
-            examined += 1
-            if examined > state_limit:
+    n = h.vertex_count
+    steps = h.graph.step_maps()
+    # vertex n is a sink standing for "undefined", so that a partial
+    # injection of the vertices becomes a total map on n + 1 points
+    moves = [
+        tuple(steps[v].get(code, n) for v in range(n)) + (n,)
+        for code in range(h.alphabet.num_codes)
+    ]
+    identity = tuple(range(n + 1))
+    parent: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {identity: (identity, -1)}
+    queue = deque([identity])
+    while queue:
+        p = queue.popleft()
+        for code, move in enumerate(moves):
+            q = tuple([move[x] for x in p])
+            if q in parent:
+                continue
+            if len(parent) >= state_limit:
                 raise ResourceLimitError(
-                    f"isolation search needs words up to length {bound} "
-                    f"which exceeds the state limit of {state_limit}; "
-                    "pass depth_override to run a bounded search"
+                    f"isolation test explored {len(parent)} transition-monoid "
+                    f"elements of a graph with {n} vertices and reached its "
+                    f"state limit of {state_limit}; pass state_limit to raise it"
                 )
-        if contains(h, f):
+            parent[q] = (p, code)
+            cycle = _first_cycle(q, n)
+            if cycle is not None:
+                return _isolation_witness(h, q, parent, *cycle)
+            queue.append(q)
+    return IsolationResult(True, None, True)
+
+
+def _first_cycle(p: tuple[int, ...], n: int) -> Optional[tuple[int, int]]:
+    """Least vertex on a cycle of length >= 2 of the map ``p``, with the
+    cycle length.  Every orbit of a partial injection is a chain ending
+    in the sink ``n`` or a cycle, so each vertex is walked once."""
+    seen = [False] * n
+    for v in range(n):
+        if seen[v]:
             continue
-        m = power_in(h, f)
-        if m is not None:
-            if m < 2 or not contains(h, f**m):
-                raise AssertionError("isolation witness must have a proper power in H")
-            return IsolationResult(False, (f, m), True)
-    return IsolationResult(True, None, depth >= bound)
+        length, w = 1, p[v]
+        while w != v and w != n and not seen[w]:
+            seen[w] = True
+            length, w = length + 1, p[w]
+        seen[v] = True
+        if w == v and length >= 2:
+            return v, length
+    return None
+
+
+def _isolation_witness(
+    h: SubgroupGraph,
+    q: tuple[int, ...],
+    parent: dict[tuple[int, ...], tuple[tuple[int, ...], int]],
+    u0: int,
+    m: int,
+) -> IsolationResult:
+    """Verified witness f = c d c^-1 with power m, where d is the word
+    that reached ``q`` (read off the parents) and c the tree path to u0."""
+    d: list[int] = []
+    while parent[q][1] >= 0:
+        q, code = parent[q]
+        d.append(code)
+    c = spanning_tree(h, geodesic=True).path_codes(u0)
+    f = free_reduce(h.alphabet, c + tuple(reversed(d)) + tuple(x ^ 1 for x in reversed(c)))
+    if contains(h, f) or power_in(h, f) != m:
+        raise AssertionError("an isolation witness must be a root outside H of least power m")
+    return IsolationResult(False, (f, m), True)
 
 
 def _closure_among(
@@ -305,7 +392,7 @@ def malnormal_closure(
 ) -> SubgroupGraph:
     """Smallest malnormal subgroup containing K: the unique minimal
     malnormal member of the algebraic extensions.  Its rank never
-    exceeds the rank of K."""
+    exceeds the rank of K.  ``plateau_budget`` has no effect."""
     if k.is_trivial():
         raise InvalidInputError("malnormal closure is defined for nontrivial subgroups")
     exts = algebraic_extensions(k, max_vertices, plateau_budget)
@@ -326,8 +413,9 @@ def isolator(
     """Smallest isolated subgroup containing K: the unique minimal
     isolated member of the algebraic extensions.
 
-    Malnormal extensions are isolated outright, so the expensive
-    isolation search only runs on the rest; its bounds propagate.
+    Malnormal extensions are isolated outright, so the transition-monoid
+    test only runs on the rest, under ``state_limit``.
+    ``plateau_budget`` and ``depth_override`` have no effect.
     """
     if k.is_trivial():
         raise InvalidInputError("isolator is defined for nontrivial subgroups")

@@ -331,29 +331,26 @@ def transport(a: XDigraph, av: int, b: XDigraph, bv: int) -> Optional[tuple[int,
 
     Both graphs must be folded and ``a`` connected.  Returns ``None``
     when no morphism exists (some edge of ``a`` fails to transport).
+    The walk runs over the step maps of both graphs.
     """
+    a_steps = a.step_maps()
+    b_steps = b.step_maps()
     vmap: list[Optional[int]] = [None] * a.vertex_count
     vmap[av] = bv
-    inc = a.incident()
     queue = deque([av])
-    visited = {av}
     while queue:
         u = queue.popleft()
-        for o, x, t in inc[u]:
-            for src, code, far in ((o, 2 * x, t), (t, 2 * x + 1, o)):
-                if src != u:
-                    continue
-                img = b.step(vmap[u], code)  # type: ignore[arg-type]
-                if img is None:
-                    return None
-                if vmap[far] is None:
-                    vmap[far] = img
-                elif vmap[far] != img:
-                    return None
-                if far not in visited:
-                    visited.add(far)
-                    queue.append(far)
-    if len(visited) != a.vertex_count:
+        at = b_steps[vmap[u]]  # type: ignore[index]
+        for code, far in a_steps[u].items():
+            img = at.get(code)
+            if img is None:
+                return None
+            if vmap[far] is None:
+                vmap[far] = img
+                queue.append(far)
+            elif vmap[far] != img:
+                return None
+    if None in vmap:
         raise InvalidInputError("transport requires a connected source graph")
     return tuple(vmap)  # type: ignore[arg-type]
 

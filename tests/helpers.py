@@ -2,13 +2,31 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from random import Random
 from typing import Optional, Sequence
 
 from freegroups.errors import InvalidInputError
-from freegroups.graph import Edge, Morphism, Subgraph, XDigraph, fold_all
-from freegroups.subgroup import SubgroupGraph, _spell_path, stallings_graph
-from freegroups.words import Alphabet, Word, free_reduce, identity, invert, multiply
+from freegroups.extensions import ExtensionVerdict, principal_quotients
+from freegroups.graph import Edge, Morphism, Subgraph, XDigraph, canonical_morphism, fold_all
+from freegroups.subgroup import (
+    SubgroupGraph,
+    _spell_path,
+    contains,
+    power_in,
+    rank,
+    stallings_graph,
+)
+from freegroups.whitehead import is_free_factor
+from freegroups.words import (
+    Alphabet,
+    Word,
+    free_reduce,
+    identity,
+    invert,
+    multiply,
+    reduced_words,
+)
 
 AB = Alphabet.from_string("ab")
 ABC = Alphabet.from_string("abc")
@@ -196,3 +214,46 @@ def naive_fold(g: XDigraph) -> tuple[set[frozenset[int]], set[tuple]]:
     members = {b: frozenset(v for v, c in enumerate(block) if c == b) for b in set(block)}
     edges = {(members[block[o]], x, members[block[t]]) for o, x, t in g.edges}
     return set(members.values()), edges
+
+
+def isolation_by_word_search(h: SubgroupGraph, depth: int) -> Optional[tuple[Word, int]]:
+    """Bounded root search: the first reduced word f of length <= depth
+    in shortlex order with f not in H but some power f^m in H, with its
+    least such m; None when there is none up to that length."""
+    for f in reduced_words(h.alphabet, depth):
+        if f.codes and not contains(h, f):
+            m = power_in(h, f)
+            if m is not None:
+                return f, m
+    return None
+
+
+@lru_cache(maxsize=4096)
+def _proper_free_factor_by_whitehead(s: SubgroupGraph, h: SubgroupGraph) -> bool:
+    return (
+        rank(s) < rank(h)
+        and canonical_morphism(s.based, h.based) is not None
+        and is_free_factor(s, h)
+    )
+
+
+def algebraic_extensions_by_whitehead(k: SubgroupGraph) -> list[SubgroupGraph]:
+    """Algebraic extensions of K: the principal quotients in which no
+    smaller-rank quotient is a Whitehead-certified free factor."""
+    quotients = [pq.graph for pq in principal_quotients(k)]
+    return [
+        h
+        for h in quotients
+        if not any(_proper_free_factor_by_whitehead(s, h) for s in quotients)
+    ]
+
+
+def algebraic_extension_by_whitehead(k: SubgroupGraph, h: SubgroupGraph) -> ExtensionVerdict:
+    """Classify K <= H: free with the first quotient (in quotient order)
+    of smaller rank than H that is a Whitehead-certified free factor of
+    H, otherwise algebraic."""
+    quotients = principal_quotients(k)
+    for pq in quotients:
+        if _proper_free_factor_by_whitehead(pq.graph, h):
+            return ExtensionVerdict("free", pq.graph, len(quotients))
+    return ExtensionVerdict("algebraic", None, len(quotients))

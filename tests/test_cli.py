@@ -1,8 +1,12 @@
 """Command-line interface: verbs, formats, exit codes, determinism."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freegroups.cli import main
 
@@ -120,8 +124,13 @@ def test_extension_verbs(capsys):
     assert json.loads(out)["edges"] == [[0, "a", 0]]
     code, out, _ = run(capsys, "--alphabet", "a", "isolated", "--sub", "aa")
     assert code == 0 and out == "no\nwitness: a\npower: 2\n"
+    # --depth is accepted and ignored: the verdict is exact either way
     code, out, _ = run(capsys, "--alphabet", "ab", "isolated", "--sub", "ab", "--depth", "3")
-    assert code == 0 and "complete: False" in out
+    assert (code, out) == (0, "yes\n")
+    code, out, _ = run(capsys, "--alphabet", "ab", "isolated", "--sub", "baaB", "--depth", "1")
+    assert (code, out) == (0, "no\nwitness: baB\npower: 2\n")
+    code, out, _ = run(capsys, "--alphabet", "ab", "isolated", "--sub", "abAB", "--json")
+    assert (code, json.loads(out)) == (0, {"answer": True})
 
 
 def test_free_factor_verbs(capsys):
@@ -156,26 +165,25 @@ def test_usage_errors_exit_2(capsys):
 
 ROSE_A = {"alphabet": "ab", "vertices": 1, "base": 0, "edges": [[0, "a", 0]]}
 
+MALFORMED_FIELDS = [
+    ("edges", 5),
+    ("edges", None),
+    ("edges", [None]),
+    ("edges", [[0, "a"]]),
+    ("edges", [[0, "a", 0, 0]]),
+    ("edges", [[0, ["a"], 0]]),
+    ("edges", [[0.9, "a", 0]]),
+    ("edges", [[0, "a", False]]),
+    ("vertices", 1.0),
+    ("vertices", True),
+    ("vertices", "1"),
+    ("base", 0.7),
+    ("base", False),
+    ("alphabet", 5),
+]
 
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("edges", 5),
-        ("edges", None),
-        ("edges", [None]),
-        ("edges", [[0, "a"]]),
-        ("edges", [[0, "a", 0, 0]]),
-        ("edges", [[0, ["a"], 0]]),
-        ("edges", [[0.9, "a", 0]]),
-        ("edges", [[0, "a", False]]),
-        ("vertices", 1.0),
-        ("vertices", True),
-        ("vertices", "1"),
-        ("base", 0.7),
-        ("base", False),
-        ("alphabet", 5),
-    ],
-)
+
+@pytest.mark.parametrize("field, value", MALFORMED_FIELDS)
 def test_malformed_graph_json_exit_2(capsys, field, value):
     # a malformed record ends in a usage error: no traceback, no coercion
     record = json.dumps({**ROSE_A, field: value})
@@ -218,3 +226,90 @@ def test_plateau_budget_flag(capsys):
         "--plateau-budget", "1",
     )
     assert code == 3 and "budget" in err
+
+
+# -- fuzzing the exit-code contract --------------------------------------------
+
+VERBS = (
+    "reduce", "graph", "member", "basis", "rank", "index", "normal", "conjugate",
+    "conj-equiv", "conj-into", "power", "hall", "join", "intersect", "components",
+    "malnormal", "cyclonormal", "immersed", "hn-check", "free-factor", "quotients",
+    "ext-type", "extensions", "closure", "isolated", "dot",
+)
+SUB_COUNTS = {"reduce": 0, "conj-equiv": 2, "conj-into": 2, "join": 2, "intersect": 2,
+              "components": 2, "hn-check": 2, "ext-type": 2}  # otherwise 1
+WORD_VERBS = {"reduce", "member", "conjugate", "power", "hall"}
+OWN_FLAGS = {"basis": ("--geodesic",), "isolated": ("--depth",)}
+CHOICE_FLAGS = {"closure": ("--algebraic", "--malnormal", "--isolated"),
+                "free-factor": ("--ambient", "--in")}
+GRAPH_CORPUS = [json.dumps(ROSE_A), "{", "missing.json", ""] + [
+    json.dumps({**ROSE_A, field: value}) for field, value in MALFORMED_FIELDS
+]
+# a well-formed command line, or one with a single fault of each kind
+FAULTS = (None,) * 6 + ("alphabet", "graph json", "sub count", "flag", "word", "number")
+NUMBERS = st.one_of(st.integers(0, 60).map(str), st.sampled_from(["-1", "", "x", "1.5"]))
+
+
+@st.composite
+def cli_argv(draw, verb: str) -> list[str]:
+    """An fg command line with random words, subgroups and budget flags:
+    well formed for its verb, or with one fault drawn from FAULTS.  The
+    second subgroup of ``ext-type`` and the ``--in`` subgroup contain
+    the first, as those verbs require, unless a fault intervenes."""
+    alphabet = draw(st.sampled_from(["ab", "ab", "ab", "abc"]))
+    letters = alphabet + alphabet.upper()
+    subgroup = st.lists(
+        st.text(alphabet=letters, min_size=1, max_size=4), min_size=1, max_size=3
+    ).map(",".join)
+    fault = draw(st.sampled_from(FAULTS))
+    count = SUB_COUNTS.get(verb, 1)
+    if fault == "sub count":
+        count = draw(st.sampled_from([n for n in range(4) if n != count]))
+    subs = [draw(subgroup) for _ in range(count)]
+    if verb == "ext-type" and count == 2:
+        subs[1] = subs[0] + "," + subs[1]
+    if fault == "graph json" and subs:
+        subs[draw(st.integers(0, len(subs) - 1))] = draw(st.sampled_from(GRAPH_CORPUS))
+    argv = ["--alphabet", draw(st.sampled_from(["", "aB", "a1"])) if fault == "alphabet"
+            else alphabet, verb]
+    for spec in subs:
+        argv += ["--sub", spec]
+    if verb in WORD_VERBS or fault == "word":
+        text = draw(st.text(alphabet=letters, max_size=5))
+        argv += ["--word", draw(st.sampled_from([text + "!", "c" + text, text])) if fault == "word"
+                 else text]
+    flags = list(draw(st.lists(st.sampled_from(("--json", "--strict")), unique=True)))
+    flags += draw(st.lists(st.sampled_from(OWN_FLAGS.get(verb, ("--json",))), unique=True))
+    if verb in CHOICE_FLAGS:
+        flags.append(draw(st.sampled_from(CHOICE_FLAGS[verb])))
+    if verb == "free-factor" and draw(st.booleans()):
+        flags.append("--plateau-budget")
+    if fault == "flag":
+        flags.append(draw(st.sampled_from(("--geodesic", "--depth", "--plateau-budget",
+                                           "--algebraic", "--ambient", "--in"))))
+    for flag in flags:
+        argv.append(flag)
+        if flag == "--in":
+            argv.append(",".join(subs[:1] + [draw(subgroup)]))
+        elif flag in ("--depth", "--plateau-budget"):
+            argv.append(draw(NUMBERS) if fault == "number" else draw(st.integers(1, 60).map(str)))
+    return argv
+
+
+@pytest.mark.parametrize("verb", VERBS)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz_exit_codes(verb, data):
+    # every run ends in 0, 1, 2 or 3 with a message, never a traceback
+    argv = data.draw(cli_argv(verb), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2, 3)
+    if code in (2, 3):
+        assert err.getvalue().strip()
+    else:
+        assert out.getvalue()

@@ -1,8 +1,14 @@
 """Quotients, algebraic extensions, closures, isolation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freegroups.errors import InvalidInputError, ResourceLimitError
 from freegroups.extensions import (
@@ -21,14 +27,26 @@ from freegroups.graph import canonical_morphism
 from freegroups.intersect import is_malnormal
 from freegroups.subgroup import (
     conjugate,
+    contains,
     full_group,
+    join,
+    power_in,
     rank,
     stallings_graph,
     trivial_subgroup,
 )
 from freegroups.words import format_word, parse_word
 
-from helpers import AB, A1, quotient_keys_by_partitions, rand_subgroup, spans
+from helpers import (
+    AB,
+    A1,
+    algebraic_extension_by_whitehead,
+    algebraic_extensions_by_whitehead,
+    isolation_by_word_search,
+    quotient_keys_by_partitions,
+    rand_subgroup,
+    spans,
+)
 
 P = lambda s: parse_word(s, AB)
 P1 = lambda s: parse_word(s, A1)
@@ -222,13 +240,104 @@ def test_is_isolated_longer_witness():
 
 
 def test_is_isolated_state_limit():
-    # <ab> is isolated (a free factor) but has 2 vertices, so the full
-    # exhaustive search is astronomically long; the limit must trip
-    with pytest.raises(ResourceLimitError):
-        is_isolated(stallings_graph(AB, [P("ab")]), state_limit=500)
-    # bounded search is honest about incompleteness
-    r = is_isolated(stallings_graph(AB, [P("ab")]), depth_override=4)
-    assert r.isolated and not r.complete
+    # an isolated subgroup on 18 vertices whose transition monoid has
+    # several hundred elements: a small state limit must trip, naming
+    # the elements explored and the vertex count, and the default
+    # limit must reach the exact verdict
+    h = stallings_graph(AB, [P("aabbaaaaabbAABabab")])
+    assert h.vertex_count == 18
+    with pytest.raises(ResourceLimitError) as exc:
+        is_isolated(h, state_limit=100)
+    assert "explored 100 " in str(exc.value) and "18 vertices" in str(exc.value)
+    assert is_isolated(h) == (True, None, True)
+    assert isolation_by_word_search(h, 5) is None
+    # depth_override is accepted and has no effect; verdicts are complete
+    assert is_isolated(stallings_graph(AB, [P("ab")]), depth_override=4) == (True, None, True)
+    r = is_isolated(stallings_graph(AB, [P("baaB")]), depth_override=1)
+    assert (r.witness, r.complete) == ((P("baB"), 2), True)
+
+
+def test_is_isolated_commutator():
+    # the word search needs length 83,886,093 here; the monoid is tiny
+    h = stallings_graph(AB, [P("abAB")])
+    assert isolation_length_bound(h) == 83_886_093
+    assert is_isolated(h, state_limit=30) == (True, None, True)
+
+
+def _subgroups(max_vertices: int):
+    """Random F2 subgroups on at most ``max_vertices`` vertices, drawn
+    through a seed so that every size up to the bound turns up often."""
+    return st.integers(0, 2**32).map(
+        lambda seed: rand_subgroup(
+            Random(seed), AB, max_gens=2, max_len=10, max_vertices=max_vertices
+        )
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_subgroups(max_vertices=6))
+def test_isolation_agrees_with_word_search(h):
+    r = is_isolated(h)
+    assert r.complete
+    found = isolation_by_word_search(h, 7)
+    if r.isolated:
+        assert r.witness is None and found is None
+        return
+    f, m = r.witness
+    assert m >= 2 and not contains(h, f) and contains(h, f**m) and power_in(h, f) == m
+    if len(f) <= 7:
+        assert found is not None
+
+
+@settings(max_examples=10, deadline=None)
+@given(_subgroups(max_vertices=8), st.data())
+def test_algebraic_extensions_agree_with_whitehead(k, data):
+    assert algebraic_extensions(k) == algebraic_extensions_by_whitehead(k)
+    quotients = principal_quotients(k)
+    h = quotients[data.draw(st.integers(0, len(quotients) - 1))].graph
+    assert is_algebraic_extension(k, h) == algebraic_extension_by_whitehead(k, h)
+    extra = stallings_graph(AB, [P(data.draw(st.text(alphabet="aAbB", min_size=1, max_size=3)))])
+    h = join(k, extra)
+    assert is_algebraic_extension(k, h) == algebraic_extension_by_whitehead(k, h)
+
+
+def test_isolation_witness_check_survives_optimize():
+    # a wrong cycle length makes a wrong witness (a, 3) for <aa>; the
+    # check must still raise under -O
+    script = """
+import freegroups.extensions as fe
+from freegroups.subgroup import stallings_graph
+from freegroups.words import Alphabet, parse_word
+ab = Alphabet.from_string("ab")
+fe._first_cycle = lambda p, n: (0, 3) if p[0] != 0 else None
+try:
+    fe.is_isolated(stallings_graph(ab, [parse_word("aa", ab)]))
+except AssertionError:
+    print("raised")
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.stdout.strip() == "raised", done.stderr
+
+
+def test_quotient_steps_form_the_identification_dag():
+    # every quotient but K is reached by a step from a larger quotient,
+    # and no step raises the rank by more than one
+    for gens in (["aa", "bb"], ["abAB"], ["aBB", "BAbb"]):
+        k = stallings_graph(AB, [P(w) for w in gens])
+        quotients = principal_quotients(k)
+        by_key = {pq.graph.canonical_key(): pq.graph for pq in quotients}
+        assert quotients[0].graph == k and quotients[0].step_sources == frozenset()
+        for pq in quotients[1:]:
+            assert pq.step_sources and pq.step_sources <= by_key.keys()
+            for key in pq.step_sources:
+                src = by_key[key]
+                assert src.vertex_count > pq.graph.vertex_count
+                assert canonical_morphism(src.based, pq.graph.based) is not None
+                assert rank(pq.graph) <= rank(src) + 1
 
 
 def test_malnormal_closure_examples():
