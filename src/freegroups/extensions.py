@@ -26,9 +26,16 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 from .errors import InvalidInputError, ResourceLimitError
-from .graph import Morphism, Subgraph, XDigraph, canonical_morphism, fold_all, transport
+from .graph import Morphism, Subgraph, XDigraph, canonical_morphism, fold_all
 from .intersect import is_malnormal
-from .subgroup import SubgroupGraph, contains, power_in, rank, spanning_tree
+from .subgroup import (
+    SubgroupGraph,
+    _canonical_core,
+    contains,
+    power_in,
+    rank,
+    spanning_tree,
+)
 from .whitehead import DEFAULT_PLATEAU_BUDGET, is_free_factor_of_ambient
 from .words import Word, free_reduce
 
@@ -96,7 +103,13 @@ def principal_quotients(
 def _identify_and_fold(
     sub: SubgroupGraph, u: int, v: int, prior: Morphism
 ) -> PrincipalQuotient:
-    """Identify vertices u and v, fold to completion, recanonicalize."""
+    """Identify vertices u and v, fold to completion, recanonicalize.
+
+    The canonical numbering comes from one walk over the step maps that
+    ``fold_all`` built, and its vertex map is composed into the
+    epimorphism.  A quotient of a core graph is core, so the walk must
+    keep every vertex.
+    """
     g = sub.graph
 
     def squash(w: int) -> int:
@@ -109,10 +122,9 @@ def _identify_and_fold(
     )
     folded, fmap = fold_all(merged)
     base = fmap[squash(sub.base)]
-    quotient = SubgroupGraph(folded, base)
-    renumber = transport(folded, base, quotient.graph, quotient.base)
-    if renumber is None:
-        raise AssertionError("a quotient must map onto its canonical form")
+    quotient, renumber = _canonical_core(g.alphabet, folded.step_maps(), base)
+    if quotient.vertex_count != folded.vertex_count:
+        raise AssertionError("a quotient of a core graph must be core")
     vertex_map = tuple(
         renumber[fmap[squash(prior(w))]] for w in range(len(prior.vertex_map))
     )

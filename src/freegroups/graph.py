@@ -17,7 +17,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import InvalidInputError
 from .words import Alphabet, Word
@@ -107,8 +107,7 @@ class XDigraph:
     def is_connected(self) -> bool:
         if self.vertex_count <= 1:
             return True
-        seen = _component_of(self, 0)
-        return len(seen) == self.vertex_count
+        return len(next(_components(self)).vertices) == self.vertex_count
 
 
 @dataclass(frozen=True)
@@ -190,7 +189,9 @@ def fold_all(g: XDigraph, rng: Optional[Random] = None) -> FoldResult:
     passing ``rng`` shuffles the order in which edges are inserted, and
     with it the merge order.  The language at any tracked vertex is
     preserved (its image is reported in ``vertex_map``); the blocks of
-    the partition are numbered in the order of their least vertex.
+    the partition are numbered in the order of their least vertex.  The
+    final check builds the step maps of the folded graph, which stay
+    cached on it for the caller.
     """
     n = g.vertex_count
     parent = list(range(n))
@@ -237,8 +238,12 @@ def fold_all(g: XDigraph, rng: Optional[Random] = None) -> FoldResult:
         if code & 1 == 0
     ]
     folded = XDigraph(g.alphabet, len(renum), new_edges)
-    if not is_folded(folded):
-        raise AssertionError("fold_all left two equally labelled half-edges at a vertex")
+    try:
+        folded.step_maps()
+    except InvalidInputError:
+        raise AssertionError(
+            "fold_all left two equally labelled half-edges at a vertex"
+        ) from None
     return FoldResult(folded, vmap)
 
 
@@ -246,68 +251,55 @@ def fold_all(g: XDigraph, rng: Optional[Random] = None) -> FoldResult:
 # cores and tracing
 
 
-def _component_of(g: XDigraph, v: int) -> set[int]:
-    inc = g.incident()
-    seen = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for o, _, t in inc[u]:
-            for w in (o, t):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return seen
-
-
 class CoreResult(NamedTuple):
     graph: XDigraph
     vertex_map: dict[int, int]  # surviving old vertex -> new vertex
 
 
+def _core_numbering(steps: list[dict[int, int]], v: int) -> dict[int, int]:
+    """The core at ``v`` of the folded graph with these step maps,
+    numbered breadth-first from ``v`` in signed-code order (old -> new).
+
+    Vertices other than ``v`` with one half-edge are deleted until none
+    is left; the survivors that ``v`` reaches form the core.  Each step
+    map is read a constant number of times.
+    """
+    deg = [len(m) for m in steps]
+    dead = [False] * len(steps)
+    leaves = [u for u, d in enumerate(deg) if d == 1 and u != v]
+    while leaves:
+        u = leaves.pop()
+        dead[u] = True
+        for w in steps[u].values():
+            if not dead[w]:
+                deg[w] -= 1
+                if deg[w] == 1 and w != v:
+                    leaves.append(w)
+    pos = {v: 0}
+    order = [v]
+    for u in order:
+        m = steps[u]
+        for code in sorted(m):
+            w = m[code]
+            if w not in pos and not dead[w]:
+                pos[w] = len(order)
+                order.append(w)
+    return pos
+
+
 def core(g: XDigraph, v: int) -> CoreResult:
     """Core of a folded graph at ``v``: the union of reduced loops at ``v``.
 
-    On folded graphs this equals the result of restricting to the
-    component of ``v`` and repeatedly deleting degree-one vertices other
-    than ``v``; the language at ``v`` is unchanged.
+    Read off the step maps: restrict to the component of ``v`` and
+    repeatedly delete degree-one vertices other than ``v``; the language
+    at ``v`` is unchanged.  Surviving vertices keep their relative
+    order.  Raises ``InvalidInputError`` unless ``g`` is folded.
     """
     if not 0 <= v < g.vertex_count:
         raise InvalidInputError(f"vertex {v} out of range")
-    if not is_folded(g):
-        raise InvalidInputError("core is only defined here for folded graphs")
-    keep = _component_of(g, v)
-    edges = [e for e in g.edges if e[0] in keep]
-    deg: dict[int, int] = {u: 0 for u in keep}
-    inc: dict[int, list[Edge]] = {u: [] for u in keep}
-    for e in edges:
-        o, _, t = e
-        deg[o] += 1
-        deg[t] += 1
-        inc[o].append(e)
-        if t != o:
-            inc[t].append(e)
-    dead_edges: set[Edge] = set()
-    queue = deque(u for u in keep if deg[u] == 1 and u != v)
-    while queue:
-        u = queue.popleft()
-        if u not in keep or deg[u] != 1 or u == v:
-            continue
-        keep.discard(u)
-        for e in inc[u]:
-            if e in dead_edges:
-                continue
-            dead_edges.add(e)
-            o, _, t = e
-            for w in (o, t):
-                deg[w] -= 1
-                if w != u and w in keep and deg[w] == 1 and w != v:
-                    queue.append(w)
-    vmap = {u: i for i, u in enumerate(sorted(keep))}
-    new_edges = [
-        (vmap[o], x, vmap[t]) for (o, x, t) in edges if (o, x, t) not in dead_edges
-    ]
-    return CoreResult(XDigraph(g.alphabet, len(keep), new_edges), vmap)
+    vmap = {u: i for i, u in enumerate(sorted(_core_numbering(g.step_maps(), v)))}
+    new_edges = [(vmap[o], x, vmap[t]) for o, x, t in g.edges if o in vmap and t in vmap]
+    return CoreResult(XDigraph(g.alphabet, len(vmap), new_edges), vmap)
 
 
 def trace_path(g: XDigraph, start: int, w: Word) -> Optional[int]:
@@ -499,20 +491,42 @@ class Component(NamedTuple):
     graph: XDigraph  # induced subgraph, renumbered along `vertices`
 
 
-def connected_components(g: XDigraph) -> list[Component]:
-    """Undirected components, ordered by least contained vertex id."""
-    seen: set[int] = set()
-    comps: list[Component] = []
-    for v in range(g.vertex_count):
-        if v in seen:
+def _components(g: XDigraph) -> Iterator[Component]:
+    """Undirected components in order of least vertex, streamed from one
+    pass that builds the adjacency lists."""
+    n = g.vertex_count
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    out: list[list[Edge]] = [[] for _ in range(n)]
+    for e in g.edges:
+        o, _, t = e
+        out[o].append(e)
+        nbrs[o].append(t)
+        nbrs[t].append(o)
+    seen = [False] * n
+    for v in range(n):
+        if seen[v]:
             continue
-        verts = _component_of(g, v)
-        seen |= verts
-        ordered = tuple(sorted(verts))
-        renum = {u: i for i, u in enumerate(ordered)}
-        edges = [(renum[o], x, renum[t]) for o, x, t in g.edges if o in verts]
-        comps.append(Component(ordered, XDigraph(g.alphabet, len(ordered), edges)))
-    return comps
+        seen[v] = True
+        verts = [v]
+        for u in verts:
+            for w in nbrs[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    verts.append(w)
+        verts.sort()
+        renum = {u: i for i, u in enumerate(verts)}
+        edges = [(renum[o], x, renum[t]) for u in verts for o, x, t in out[u]]
+        yield Component(tuple(verts), XDigraph(g.alphabet, len(verts), edges))
+
+
+def connected_components(g: XDigraph) -> list[Component]:
+    """Undirected components, ordered by least contained vertex id.
+
+    One pass builds the adjacency lists; each component is then walked
+    once, so the cost is linear in the size of the graph up to the
+    sorting of each component's vertices.
+    """
+    return list(_components(g))
 
 
 def regular_complete(g: XDigraph) -> XDigraph:

@@ -2,20 +2,23 @@
 
 The product of two subgroup graphs recognizes the intersection at the
 base pair; the remaining components describe intersections of
-conjugates, one double coset per component.  This yields intersection
-computation, malnormality and cyclonormality tests, the immersion
-criterion, and the rank inequality probe for intersections.
+conjugates, one double coset per component.  The intersection walks
+only the base component, over the step maps of both graphs; the other
+questions stream the components of the full product.  This yields
+intersection computation, malnormality and cyclonormality tests, the
+immersion criterion, and the rank inequality probe for intersections.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import AlphabetMismatchError, InvalidInputError
-from .graph import XDigraph, connected_components, core, product
+from .graph import XDigraph, _components, product
 from .subgroup import (
     SubgroupGraph,
+    _canonical_core,
     conjugate,
     contains,
     rank,
@@ -26,13 +29,36 @@ from .words import Word, invert, multiply
 
 def intersection(h: SubgroupGraph, k: SubgroupGraph) -> SubgroupGraph:
     """Canonical graph of H n K: core of the base-pair component of the
-    product graph.  Always finite (Howson property)."""
+    product graph.  Always finite (Howson property).
+
+    The component is reached by a breadth-first walk from the base pair
+    over the step maps of both graphs, so no other part of the product
+    is built; it is folded by construction, and the walk checks that
+    every step it records is undone by the inverse code.  The core is
+    then cut and renumbered in one more walk.
+    """
     if h.alphabet != k.alphabet:
         raise AlphabetMismatchError("subgroups use different alphabets")
-    prod = product(h.graph, k.graph, base_pair=(h.base, k.base))
-    base = prod.pair_index()[(h.base, k.base)]
-    cored, cmap = core(prod.graph, base)
-    return SubgroupGraph(cored, cmap[base])
+    h_steps, k_steps = h.graph.step_maps(), k.graph.step_maps()
+    pairs = [(h.base, k.base)]
+    index = {pairs[0]: 0}
+    steps: list[dict[int, int]] = []
+    for v, u in pairs:
+        at_k = k_steps[u]
+        here: dict[int, int] = {}
+        for code, v2 in h_steps[v].items():
+            u2 = at_k.get(code)
+            if u2 is None:
+                continue
+            if h_steps[v2].get(code ^ 1) != v or k_steps[u2].get(code ^ 1) != u:
+                raise AssertionError("a product of folded graphs must be folded")
+            j = index.get((v2, u2))
+            if j is None:
+                j = index[(v2, u2)] = len(pairs)
+                pairs.append((v2, u2))
+            here[code] = j
+        steps.append(here)
+    return _canonical_core(h.alphabet, steps, 0)[0]
 
 
 @dataclass(frozen=True)
@@ -55,10 +81,18 @@ class ComponentReport:
 def component_analysis(h: SubgroupGraph, k: SubgroupGraph) -> list[ComponentReport]:
     """Reports for every component of the product of the two graphs.
 
-    Witnesses are ``g = tau * sigma^-1`` built from geodesic tree paths
-    to the representative pair, kept short on purpose, and are verified
-    by intersecting the conjugate before being reported.
+    The components are streamed in order of least product vertex from
+    one pass over the product.  Witnesses are ``g = tau * sigma^-1``
+    built from geodesic tree paths to the representative pair, kept
+    short on purpose, and each is verified by intersecting the
+    conjugate before it is reported.
     """
+    return list(_reports(h, k))
+
+
+def _reports(h: SubgroupGraph, k: SubgroupGraph) -> Iterator[ComponentReport]:
+    """The reports of ``component_analysis``, one component at a time,
+    so that a caller can stop at the first one it needs."""
     if h.alphabet != k.alphabet:
         raise AlphabetMismatchError("subgroups use different alphabets")
     prod = product(h.graph, k.graph, base_pair=(h.base, k.base))
@@ -70,8 +104,7 @@ def component_analysis(h: SubgroupGraph, k: SubgroupGraph) -> list[ComponentRepo
     # nontrivial elements of a conjugate intersection.  Conversely a g
     # whose conjugate meets K nontrivially always lights up such a
     # component, so no separate free-product criterion is exposed.
-    reports = []
-    for comp in connected_components(prod.graph):
+    for comp in _components(prod.graph):
         has_base = base_id in comp.vertices
         v, u = prod.pairs[comp.vertices[0]]
         comp_rank = len(comp.graph.edges) - comp.graph.vertex_count + 1
@@ -82,20 +115,19 @@ def component_analysis(h: SubgroupGraph, k: SubgroupGraph) -> list[ComponentRepo
             witness = multiply(tau, invert(sigma))
             if intersection(conjugate(h, witness), k).is_trivial():
                 raise AssertionError("witness must realize a nontrivial conjugate intersection")
-        reports.append(
-            ComponentReport(comp.graph, has_base, (v, u), comp_rank, witness)
-        )
-    return reports
+        yield ComponentReport(comp.graph, has_base, (v, u), comp_rank, witness)
 
 
 def is_malnormal(h: SubgroupGraph) -> tuple[bool, Optional[Word]]:
     """Tree criterion: malnormal iff every component of the self-product
     away from the base pair is a tree (rank 0).
 
-    On failure returns a verified witness g with g not in H and
-    ``g H g^-1 n H`` nontrivial.
+    The components are streamed and the test stops at the first one of
+    positive rank away from the base pair.  Only the witness returned
+    is built and verified: a g with g not in H and ``g H g^-1 n H``
+    nontrivial.
     """
-    for report in component_analysis(h, h):
+    for report in _reports(h, h):
         if not report.contains_base_pair and report.rank > 0:
             g = report.double_coset_witness
             if g is None or contains(h, g):
@@ -106,10 +138,17 @@ def is_malnormal(h: SubgroupGraph) -> tuple[bool, Optional[Word]]:
 
 def is_cyclonormal(h: SubgroupGraph) -> bool:
     """True iff every non-base component of the self-product has rank <= 1,
-    i.e. all conjugate intersections over nontrivial double cosets are cyclic."""
+    i.e. all conjugate intersections over nontrivial double cosets are cyclic.
+
+    Reads only ``#E - #V + 1`` of each streamed component, builds no
+    witness, and stops at the first component of rank >= 2 away from
+    the base pair.
+    """
+    prod = product(h.graph, h.graph, base_pair=(h.base, h.base))
+    base_id = prod.pair_index()[(h.base, h.base)]
     return all(
-        report.contains_base_pair or report.rank <= 1
-        for report in component_analysis(h, h)
+        base_id in comp.vertices or len(comp.graph.edges) - len(comp.vertices) + 1 <= 1
+        for comp in _components(prod.graph)
     )
 
 

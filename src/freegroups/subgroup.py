@@ -4,7 +4,10 @@
 attached to a finitely generated subgroup H <= F(X).  Vertices are
 renumbered breadth-first from the base with signed-letter tie-breaking,
 so equal subgroups produce identical objects and serialized output is
-reproducible; the base vertex is always 0.
+reproducible; the base vertex is always 0.  The constructor validates
+any graph it is given; the constructions here cut the core and number
+it in one walk over step maps that were checked once, and wrap the
+result without validating it again.
 
 Algorithms here cover construction by folding, membership, spanning
 trees and free bases, Schreier rewriting, rank, index and cosets,
@@ -28,9 +31,9 @@ from .graph import (
     BasedGraph,
     Edge,
     XDigraph,
+    _core_numbering,
     based_isomorphism,
     canonical_morphism,
-    core,
     fold_all,
     is_regular,
     regular_complete,
@@ -54,6 +57,14 @@ class SubgroupGraph:
 
     def __init__(self, graph: XDigraph, base: int):
         self.graph = _canonicalize(graph, base)
+
+    @classmethod
+    def _from_canonical(cls, graph: XDigraph) -> "SubgroupGraph":
+        """Wrap a graph that is already folded, connected, core and in
+        canonical numbering, skipping the checks of ``__init__``."""
+        obj = object.__new__(cls)
+        obj.graph = graph
+        return obj
 
     @property
     def alphabet(self) -> Alphabet:
@@ -89,25 +100,37 @@ class SubgroupGraph:
 
 def _canonicalize(graph: XDigraph, base: int) -> XDigraph:
     """Validate folded/connected/core and renumber breadth-first from base."""
-    steps = graph.step_maps()  # raises if not folded
-    order = [base]
-    pos = {base: 0}
-    qi = 0
-    while qi < len(order):
-        v = order[qi]
-        qi += 1
-        for code in sorted(steps[v]):
-            w = steps[v][code]
-            if w not in pos:
-                pos[w] = len(order)
-                order.append(w)
-    if len(order) != graph.vertex_count:
-        raise InvalidInputError("subgroup graph must be connected")
-    for v, d in enumerate(graph.degrees()):
-        if d <= 1 and v != base and graph.vertex_count > 1:
-            raise InvalidInputError("subgroup graph must be a core graph at its base")
+    if not 0 <= base < graph.vertex_count:
+        raise InvalidInputError(f"base vertex {base} out of range")
+    pos = _core_numbering(graph.step_maps(), base)  # step_maps raises if not folded
+    if len(pos) != graph.vertex_count:
+        if not graph.is_connected():
+            raise InvalidInputError("subgroup graph must be connected")
+        raise InvalidInputError("subgroup graph must be a core graph at its base")
     edges = [(pos[o], x, pos[t]) for o, x, t in graph.edges]
     return XDigraph(graph.alphabet, graph.vertex_count, edges)
+
+
+def _canonical_core(
+    alphabet: Alphabet, steps: list[dict[int, int]], base: int
+) -> tuple[SubgroupGraph, dict[int, int]]:
+    """The canonical graph of the core at ``base`` of a folded graph,
+    given by its step maps, with the map from old to new vertices.
+
+    One walk restricts to the component of ``base``, prunes degree-one
+    vertices other than ``base`` and renumbers breadth-first in signed
+    code order, the numbering ``SubgroupGraph`` uses.  The step maps are
+    trusted to come from a folded graph: every caller has checked that
+    once, when the maps were built.
+    """
+    pos = _core_numbering(steps, base)
+    edges = [
+        (i, code >> 1, pos[w])
+        for i, v in enumerate(pos)
+        for code, w in steps[v].items()
+        if not code & 1 and w in pos
+    ]
+    return SubgroupGraph._from_canonical(XDigraph(alphabet, len(pos), edges)), pos
 
 
 def trivial_subgroup(alphabet: Alphabet) -> SubgroupGraph:
@@ -126,10 +149,12 @@ def stallings_graph(
 ) -> SubgroupGraph:
     """Construct the canonical graph of ``<gens>``.
 
-    Wedge of loops spelling the generators, folded to completion, cored
-    at the wedge vertex.  Trivial generators are ignored; the empty set
-    yields the single-vertex graph of the trivial subgroup.  The number
-    of elementary folds is at most the total generator length.
+    Wedge of loops spelling the generators, folded to completion, then
+    cored and renumbered at the wedge vertex in one walk over the step
+    maps that ``fold_all`` built for its own check.  Trivial generators
+    are ignored; the empty set yields the single-vertex graph of the
+    trivial subgroup.  The number of elementary folds is at most the
+    total generator length.
     """
     edges: list[Edge] = []
     n = 1
@@ -137,10 +162,8 @@ def stallings_graph(
         if w.alphabet != alphabet:
             raise AlphabetMismatchError("generators must share the given alphabet")
         n = _spell_path(edges, 0, w.codes, n, end=0)
-    wedge = XDigraph(alphabet, n, edges)
-    folded, vmap = fold_all(wedge, rng)
-    cored, cmap = core(folded, vmap[0])
-    return SubgroupGraph(cored, cmap[vmap[0]])
+    folded, vmap = fold_all(XDigraph(alphabet, n, edges), rng)
+    return _canonical_core(alphabet, folded.step_maps(), vmap[0])[0]
 
 
 def _spell_path(
@@ -435,8 +458,10 @@ def conjugate(g: SubgroupGraph, w: Word) -> SubgroupGraph:
 
     Splits ``w = y z`` with ``z`` the maximal tail whose inverse is
     readable from the base, attaches a fresh stem spelling ``y^-1`` at
-    the endpoint, and re-cores at the new base.  The type graph is
-    unchanged by conjugation.
+    the endpoint, and re-cores at the new base.  The stem cannot fold,
+    since ``w`` is reduced and its first letter is unreadable where it
+    is attached; building the step maps checks that once.  The type
+    graph is unchanged by conjugation.
     """
     if w.alphabet != g.alphabet:
         raise AlphabetMismatchError("conjugator and subgroup use different alphabets")
@@ -450,11 +475,12 @@ def conjugate(g: SubgroupGraph, w: Word) -> SubgroupGraph:
         u = nxt
         i -= 1
     y = codes[:i]  # unread head; attach its inverse as a stem
+    if not y:
+        return _canonical_core(g.alphabet, g.graph.step_maps(), u)[0]
     edges = list(g.graph.edges)
     n = _spell_path(edges, u, [c ^ 1 for c in reversed(y)], g.graph.vertex_count)
-    base = n - 1 if y else u
-    cored, cmap = core(XDigraph(g.alphabet, n, edges), base)
-    return SubgroupGraph(cored, cmap[base])
+    stemmed = XDigraph(g.alphabet, n, edges)
+    return _canonical_core(g.alphabet, stemmed.step_maps(), n - 1)[0]
 
 
 def conjugacy_equivalent(h: SubgroupGraph, k: SubgroupGraph) -> Optional[Word]:
@@ -621,7 +647,8 @@ def relative_index(m: SubgroupGraph, h: SubgroupGraph) -> Optional[int]:
 
 
 def join(h: SubgroupGraph, k: SubgroupGraph) -> SubgroupGraph:
-    """Canonical graph of <H u K>: wedge at the bases, fold, core."""
+    """Canonical graph of <H u K>: wedge at the bases, fold, then core
+    and renumber in one walk over the folded step maps."""
     if h.alphabet != k.alphabet:
         raise AlphabetMismatchError("subgroups use different alphabets")
     offset = h.graph.vertex_count
@@ -634,5 +661,4 @@ def join(h: SubgroupGraph, k: SubgroupGraph) -> SubgroupGraph:
     ]
     wedge = XDigraph(h.alphabet, offset + k.graph.vertex_count - 1, edges)
     folded, vmap = fold_all(wedge)
-    cored, cmap = core(folded, vmap[h.base])
-    return SubgroupGraph(cored, cmap[vmap[h.base]])
+    return _canonical_core(h.alphabet, folded.step_maps(), vmap[h.base])[0]

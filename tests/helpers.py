@@ -8,13 +8,23 @@ from typing import Optional, Sequence
 
 from freegroups.errors import InvalidInputError
 from freegroups.extensions import ExtensionVerdict, principal_quotients
-from freegroups.graph import Edge, Morphism, Subgraph, XDigraph, canonical_morphism, fold_all
+from freegroups.graph import (
+    Edge,
+    Morphism,
+    Subgraph,
+    XDigraph,
+    canonical_morphism,
+    fold_all,
+    product,
+)
+from freegroups.intersect import ComponentReport
 from freegroups.subgroup import (
     SubgroupGraph,
     _spell_path,
     contains,
     power_in,
     rank,
+    spanning_tree,
     stallings_graph,
 )
 from freegroups.whitehead import is_free_factor
@@ -257,3 +267,126 @@ def algebraic_extension_by_whitehead(k: SubgroupGraph, h: SubgroupGraph) -> Exte
         if _proper_free_factor_by_whitehead(pq.graph, h):
             return ExtensionVerdict("free", pq.graph, len(quotients))
     return ExtensionVerdict("algebraic", None, len(quotients))
+
+
+# ---------------------------------------------------------------------------
+# unfused constructions and full-product oracles
+
+
+def components_by_union_find(g: XDigraph) -> list[list[int]]:
+    """Vertex lists of the undirected components, each sorted, ordered by
+    least vertex; a union-find over the edges, independent of the
+    library's component walk."""
+    parent = list(range(g.vertex_count))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for o, _, t in g.edges:
+        parent[find(o)] = find(t)
+    blocks: dict[int, list[int]] = {}
+    for v in range(g.vertex_count):
+        blocks.setdefault(find(v), []).append(v)
+    return sorted(blocks.values())
+
+
+def core_by_leaf_deletion(g: XDigraph, v: int) -> tuple[XDigraph, dict[int, int]]:
+    """Core of a folded graph at ``v`` the slow way: keep the component
+    of ``v``, then delete one degree-one vertex other than ``v`` at a
+    time until there is none.  Survivors keep their relative order."""
+    keep = set(next(c for c in components_by_union_find(g) if v in c))
+    edges = [e for e in g.edges if e[0] in keep]
+    while True:
+        deg = {u: 0 for u in keep}
+        for o, _, t in edges:
+            deg[o] += 1
+            deg[t] += 1
+        leaf = next((u for u in sorted(keep) if deg[u] == 1 and u != v), None)
+        if leaf is None:
+            break
+        keep.discard(leaf)
+        edges = [e for e in edges if leaf not in (e[0], e[2])]
+    vmap = {u: i for i, u in enumerate(sorted(keep))}
+    return XDigraph(g.alphabet, len(keep), [(vmap[o], x, vmap[t]) for o, x, t in edges]), vmap
+
+
+def _subgroup_of_core(g: XDigraph, v: int) -> SubgroupGraph:
+    cored, vmap = core_by_leaf_deletion(g, v)
+    return SubgroupGraph(cored, vmap[v])
+
+
+def stallings_graph_unfused(
+    alphabet: Alphabet, gens: Sequence[Word], rng: Optional[Random] = None
+) -> SubgroupGraph:
+    """fold_all, then a separate core, then the validating constructor."""
+    edges: list[Edge] = []
+    n = 1
+    for w in gens:
+        n = _spell_path(edges, 0, w.codes, n, end=0)
+    folded, vmap = fold_all(XDigraph(alphabet, n, edges), rng)
+    return _subgroup_of_core(folded, vmap[0])
+
+
+def conjugate_unfused(g: SubgroupGraph, w: Word) -> SubgroupGraph:
+    """w H w^-1: attach a stem spelling the unread head of ``w`` inverted,
+    fold, and core at its end, with no shortcut."""
+    codes = w.codes
+    u, i = g.base, len(codes)
+    while i > 0 and g.graph.step(u, codes[i - 1] ^ 1) is not None:
+        u = g.graph.step(u, codes[i - 1] ^ 1)
+        i -= 1
+    edges = list(g.graph.edges)
+    n = _spell_path(edges, u, [c ^ 1 for c in reversed(codes[:i])], g.vertex_count)
+    folded, vmap = fold_all(XDigraph(g.alphabet, n, edges))
+    return _subgroup_of_core(folded, vmap[n - 1 if i else u])
+
+
+def join_unfused(h: SubgroupGraph, k: SubgroupGraph) -> SubgroupGraph:
+    """<H u K>: the wedge of the two graphs at their bases, folded, with
+    the unused copy of K's base left isolated for the core to drop."""
+    off = h.vertex_count
+
+    def shift(v: int) -> int:
+        return h.base if v == k.base else off + v
+
+    edges = list(h.graph.edges) + [(shift(o), x, shift(t)) for o, x, t in k.graph.edges]
+    folded, vmap = fold_all(XDigraph(h.alphabet, off + k.vertex_count, edges))
+    return _subgroup_of_core(folded, vmap[h.base])
+
+
+def intersection_by_full_product(h: SubgroupGraph, k: SubgroupGraph) -> SubgroupGraph:
+    """H n K as the core of the whole product graph at the base pair."""
+    prod = product(h.graph, k.graph, base_pair=(h.base, k.base))
+    return _subgroup_of_core(prod.graph, prod.pair_index()[(h.base, k.base)])
+
+
+def component_analysis_by_full_product(
+    h: SubgroupGraph, k: SubgroupGraph
+) -> list[ComponentReport]:
+    """Every component report, from the whole product, union-find
+    components and the full-product intersection as witness check."""
+    from freegroups.subgroup import conjugate
+
+    prod = product(h.graph, k.graph, base_pair=(h.base, k.base))
+    base_id = prod.pair_index()[(h.base, k.base)]
+    tree_h = spanning_tree(h, geodesic=True)
+    tree_k = spanning_tree(k, geodesic=True)
+    reports = []
+    for verts in components_by_union_find(prod.graph):
+        renum = {u: i for i, u in enumerate(verts)}
+        comp = XDigraph(
+            h.alphabet,
+            len(verts),
+            [(renum[o], x, renum[t]) for o, x, t in prod.graph.edges if o in renum],
+        )
+        v, u = prod.pairs[verts[0]]
+        comp_rank = len(comp.edges) - comp.vertex_count + 1
+        witness = None
+        if base_id not in renum and comp_rank > 0:
+            witness = multiply(tree_k.path_word(u), invert(tree_h.path_word(v)))
+            if intersection_by_full_product(conjugate(h, witness), k).is_trivial():
+                raise AssertionError("oracle witness must meet K")
+        reports.append(ComponentReport(comp, base_id in renum, (v, u), comp_rank, witness))
+    return reports

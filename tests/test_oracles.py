@@ -1,0 +1,222 @@
+"""The step-map walks against independent oracles.
+
+The base-component intersection, the streamed component reports and the
+fused fold -> core -> canonical builds must give exactly what the full
+product graph and the unfused builds give.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+from random import Random
+
+import networkx as nx
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from freegroups.graph import XDigraph, connected_components, core, fold_all, is_folded
+from freegroups.intersect import component_analysis, intersection, is_cyclonormal, is_malnormal
+from freegroups.subgroup import basis, conjugate, join, stallings_graph
+from freegroups.words import Word, free_reduce, identity, invert, multiply, parse_word
+
+from helpers import (
+    AB,
+    ABC,
+    component_analysis_by_full_product,
+    conjugate_unfused,
+    core_by_leaf_deletion,
+    intersection_by_full_product,
+    join_unfused,
+    rand_subgroup,
+    rand_word,
+    stallings_graph_unfused,
+)
+
+
+def _subgroup(rng: Random, alphabet, max_vertices: int):
+    """A random subgroup on at most ``max_vertices`` vertices; every
+    second one is conjugated, so that its base sits on a stem."""
+    while True:
+        h = rand_subgroup(rng, alphabet, max_gens=3, max_len=9, max_vertices=max_vertices)
+        if rng.random() < 0.5:
+            h = conjugate(h, rand_word(rng, alphabet, 5))
+        if h.vertex_count <= max_vertices:
+            return h
+
+
+def _subgroups(max_vertices: int):
+    """Random F2/F3 subgroups, drawn through a seed."""
+    return st.tuples(st.sampled_from([AB, ABC]), st.integers(0, 2**32)).map(
+        lambda a: _subgroup(Random(a[1]), a[0], max_vertices)
+    )
+
+
+@st.composite
+def _pairs(draw, max_vertices: int):
+    """Two subgroups over one alphabet; every second pair shares an element."""
+    alphabet = draw(st.sampled_from([AB, ABC]))
+    rng = Random(draw(st.integers(0, 2**32)))
+    h = _subgroup(rng, alphabet, max_vertices)
+    k = _subgroup(rng, alphabet, max_vertices)
+    if draw(st.booleans()):
+        k = join(k, stallings_graph(alphabet, basis(h).elements[:1]))
+    return h, k
+
+
+def _readable_conjugator(rng: Random, h) -> Word:
+    """A word ``w`` with a random head and a tail whose inverse is a
+    reduced path from the base, so that conjugation walks into H."""
+    steps = h.graph.step_maps()
+    v, path = h.base, []
+    for _ in range(rng.randint(0, 6)):
+        codes = [c for c in sorted(steps[v]) if not path or c != path[-1] ^ 1]
+        if not codes:
+            break
+        path.append(rng.choice(codes))
+        v = steps[v][path[-1]]
+    head = rand_word(rng, h.alphabet, 3) if rng.random() < 0.5 else identity(h.alphabet)
+    return multiply(head, invert(Word(h.alphabet, tuple(path))))
+
+
+@st.composite
+def _generators(draw):
+    """Generator lists over F2 or F3, with trivial and empty lists."""
+    alphabet = draw(st.sampled_from([AB, ABC]))
+    code = st.integers(0, alphabet.num_codes - 1)
+    raw = draw(st.lists(st.lists(code, max_size=12), max_size=4))
+    return alphabet, [free_reduce(alphabet, codes) for codes in raw]
+
+
+# -- intersection and component reports ----------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pairs(max_vertices=30))
+def test_intersection_matches_full_product(pair):
+    h, k = pair
+    assert intersection(h, k).graph == intersection_by_full_product(h, k).graph
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pairs(max_vertices=12))
+def test_component_analysis_matches_full_product(pair):
+    h, k = pair
+    assert component_analysis(h, k) == component_analysis_by_full_product(h, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_subgroups(max_vertices=14))
+def test_malnormal_and_cyclonormal_match_full_product(h):
+    reports = component_analysis_by_full_product(h, h)
+    bad = [r for r in reports if not r.contains_base_pair and r.rank > 0]
+    expected = (True, None) if not bad else (False, bad[0].double_coset_witness)
+    assert is_malnormal(h) == expected
+    assert is_cyclonormal(h) == all(r.contains_base_pair or r.rank <= 1 for r in reports)
+
+
+@st.composite
+def _multigraphs(draw):
+    """Unfolded multigraphs with loops, multi-edges and isolated vertices."""
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, st.integers(0, 2), vertex), max_size=16))
+    return XDigraph(ABC, n, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_multigraphs())
+def test_connected_components_match_networkx(g):
+    ref = nx.MultiGraph()
+    ref.add_nodes_from(range(g.vertex_count))
+    ref.add_edges_from((o, t) for o, _, t in g.edges)
+    expected = sorted(sorted(c) for c in nx.connected_components(ref))
+    comps = connected_components(g)
+    assert [list(c.vertices) for c in comps] == expected
+    for c in comps:
+        renum = {v: i for i, v in enumerate(c.vertices)}
+        assert c.graph.edges == tuple(
+            sorted((renum[o], x, renum[t]) for o, x, t in g.edges if o in renum)
+        )
+    assert g.is_connected() == (len(expected) == 1)
+
+
+# -- fused builds ---------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(_generators(), st.one_of(st.none(), st.integers(0, 2**32)))
+def test_stallings_graph_matches_unfused(gens, seed):
+    alphabet, words = gens
+    rng = lambda: None if seed is None else Random(seed)  # noqa: E731
+    fused = stallings_graph(alphabet, words, rng())
+    assert fused.graph == stallings_graph_unfused(alphabet, words, rng()).graph
+
+
+def test_stallings_graph_of_empty_and_trivial_generators():
+    trivial = stallings_graph_unfused(AB, [])
+    assert stallings_graph(AB, []).graph == trivial.graph
+    assert stallings_graph(AB, [free_reduce(AB, [0, 1])]).graph == trivial.graph
+    assert stallings_graph(ABC, [free_reduce(ABC, [])] * 3).graph.vertex_count == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(_subgroups(max_vertices=30), st.integers(0, 2**32))
+def test_conjugate_matches_unfused(h, seed):
+    rng = Random(seed)
+    if rng.random() < 0.5:
+        w = _readable_conjugator(rng, h)
+    else:
+        w = rand_word(rng, h.alphabet, 10)
+    assert conjugate(h, w).graph == conjugate_unfused(h, w).graph
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pairs(max_vertices=30))
+def test_join_matches_unfused(pair):
+    h, k = pair
+    assert join(h, k).graph == join_unfused(h, k).graph
+
+
+@settings(max_examples=150, deadline=None)
+@given(_multigraphs(), st.integers(0, 11))
+def test_core_matches_leaf_deletion(g, v):
+    folded, vmap = fold_all(g)
+    v = vmap[v % g.vertex_count]
+    assert is_folded(folded)
+    assert core(folded, v) == core_by_leaf_deletion(folded, v)
+
+
+def test_core_keeps_the_base_when_pruning_reaches_it():
+    # a spur 0-b->1 at the base and a stem 0-a->2-a->3 to a b-loop:
+    # deleting 1 leaves the base with one half-edge, and it must stay
+    g = XDigraph(AB, 4, [(0, 1, 1), (0, 0, 2), (2, 0, 3), (3, 1, 3)])
+    cored, vmap = core(g, 0)
+    assert vmap == {0: 0, 2: 1, 3: 2}
+    assert cored.edges == ((0, 0, 1), (1, 0, 2), (2, 1, 2))
+    # the same shape through conjugation: <a^3 b a^-3> conjugated by a^-1
+    h = stallings_graph(AB, [parse_word("aaabAAA", AB)])
+    assert conjugate(h, parse_word("A", AB)) == stallings_graph(AB, [parse_word("aabAA", AB)])
+
+
+def test_unfolded_build_input_raises_under_optimize():
+    # with fold_all patched to hand back its input unfolded, the one
+    # foldedness check of the build must still fire under -O
+    script = """
+import freegroups.subgroup as fs
+from freegroups.errors import InvalidInputError
+from freegroups.graph import FoldResult
+from freegroups.words import Alphabet, parse_word
+ab = Alphabet.from_string("ab")
+fs.fold_all = lambda g, rng=None: FoldResult(g, tuple(range(g.vertex_count)))
+try:
+    fs.stallings_graph(ab, [parse_word("ab", ab), parse_word("aB", ab)])
+except (AssertionError, InvalidInputError):
+    print("raised")
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.stdout.strip() == "raised", done.stderr

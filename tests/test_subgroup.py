@@ -476,3 +476,9 @@ def test_subgroup_graph_validation():
         SubgroupGraph(XDigraph(AB, 2, [(0, 0, 1)]), 0)  # dangling, not core
     with pytest.raises(InvalidInputError):
         SubgroupGraph(XDigraph(AB, 2, ()), 0)  # disconnected
+    with pytest.raises(InvalidInputError, match="base vertex"):
+        SubgroupGraph(XDigraph(AB, 1, [(0, 0, 0)]), 1)  # no such base
+    with pytest.raises(InvalidInputError, match="connected"):
+        SubgroupGraph(XDigraph(AB, 3, [(0, 0, 0), (1, 0, 2), (2, 0, 1)]), 0)
+    with pytest.raises(InvalidInputError, match="core"):
+        SubgroupGraph(XDigraph(AB, 2, [(0, 0, 0), (0, 1, 1)]), 0)
