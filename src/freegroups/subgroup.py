@@ -99,16 +99,30 @@ class SubgroupGraph:
 
 
 def _canonicalize(graph: XDigraph, base: int) -> XDigraph:
-    """Validate folded/connected/core and renumber breadth-first from base."""
+    """Validate folded/connected/core and renumber breadth-first from base.
+
+    The step maps built for the check move to the renumbered graph,
+    their vertices renumbered in place, and leave the input graph's
+    cache, so one copy of them lives at a time.
+    """
     if not 0 <= base < graph.vertex_count:
         raise InvalidInputError(f"base vertex {base} out of range")
-    pos = _core_numbering(graph.step_maps(), base)  # step_maps raises if not folded
+    steps = graph.step_maps()  # raises if not folded
+    pos = _core_numbering(steps, base)
     if len(pos) != graph.vertex_count:
         if not graph.is_connected():
             raise InvalidInputError("subgroup graph must be connected")
         raise InvalidInputError("subgroup graph must be a core graph at its base")
     edges = [(pos[o], x, pos[t]) for o, x, t in graph.edges]
-    return XDigraph(graph.alphabet, graph.vertex_count, edges)
+    out = XDigraph(graph.alphabet, graph.vertex_count, edges)
+    renumbered: list[dict[int, int]] = [{}] * len(steps)
+    for v, m in enumerate(steps):
+        for code, w in m.items():
+            m[code] = pos[w]
+        renumbered[pos[v]] = m
+    graph._steps = None
+    out._steps = renumbered
+    return out
 
 
 def _canonical_core(

@@ -3,29 +3,53 @@
 The free-factor test drives the classification of extensions: a
 subgroup K is a free factor of the ambient free group iff some
 automorphism carries it onto a subgroup generated by part of the
-letter set, i.e. onto a sub-rose.  Since rank is preserved and
-``#E = #V + rk - 1`` for core graphs, minimizing the edge count of the
-subgroup graph over the automorphism orbit is the whole story: the
-minimum is ``rk(K)`` exactly when K is a free factor.
+letter set.  Conjugation keeps free factors free factors, so the test
+works on the conjugacy class of K, whose graph is the cyclic core: the
+subgroup graph with the stem to its base removed, a core graph at
+every vertex.  Rank is preserved and ``#E = #V + rk - 1``, so the
+minimum of the cyclic core's edge count over the automorphism orbit is
+``rk(K)`` exactly when K is a free factor, i.e. when the minimal cyclic
+core is a single vertex.
 
-Minimization uses the classical finite family of Whitehead moves:
-greedy descent on the edge count (peak reduction guarantees descent
-reaches the orbit minimum), then an exhaustive breadth-first sweep of
-the equal-size plateau as a safety net for level moves, bounded by a
-configurable state budget.
+Minimization uses the multiplier moves (A, a): ``a`` is a signed letter
+and A a set of signed letters holding ``a`` but not ``a^-1``, and the
+move sends ``x -> a^[x^-1 in A] x a^-[x in A]``.  The size of a move's
+image needs no image.  Let ``B = {a} u {x^-1 : x in A, x != a}`` and let
+the star of a vertex be the set of signed labels leaving it; then the
+cyclic core of the image has
+
+    #E(image) = #E - #{a-edges} + #{v : star(v) meets both B and its complement}
+
+edges, where the a-edges are the edges labelled by the letter of ``a``.
+This is the subgroup form of Whitehead's cut count (Gersten, "On
+Whitehead's algorithm", Bull. AMS 10, 1984; Roig, Ventura and Weil, "On
+the complexity of the Whitehead minimization problem", IJAC 17, 2007).
+So the sizes of all moves are read off the vertices grouped by star,
+and only the image of the chosen move is built, with its size checked
+against the prediction.  Gersten's peak reduction holds for cyclic
+cores, so greedy descent on the edge count reaches the orbit minimum; a
+breadth-first sweep of the equal-size plateau, bounded by a
+configurable state budget, stays as a safety net for level moves.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
 from typing import Optional, Sequence
 
 from .errors import InvalidInputError, ResourceLimitError
-from .graph import canonical_morphism
-from .subgroup import SubgroupGraph, basis, rank, rebase_inside, stallings_graph
+from .graph import _core_numbering, canonical_morphism, type_with_anchor
+from .subgroup import (
+    SubgroupGraph,
+    _canonical_core,
+    basis,
+    rank,
+    rebase_inside,
+    stallings_graph,
+)
 from .words import Alphabet, Word, free_reduce
 
 DEFAULT_PLATEAU_BUDGET = 10_000
@@ -152,55 +176,56 @@ def is_free_factor_of_ambient(
 ) -> bool:
     """Decide whether K is a free factor of the whole free group.
 
-    Greedy descent on the positive-edge count of the subgroup graph
-    under single multiplier moves, then breadth-first search of the
-    equal-size plateau (restarting the descent if the plateau reveals a
-    smaller neighbor).  At the orbit minimum, K is a free factor iff
-    the graph is a sub-rose, i.e. has a single vertex.  Permutation
-    automorphisms never change edge counts and are not used as moves.
+    Works on the cyclic core of K, the graph of its conjugacy class,
+    since conjugation keeps free factors free factors.  Greedy descent on
+    the edge count under single multiplier moves reads every move's size
+    off the star masks of the current core (see the module docstring)
+    and builds only the image of the most reducing move; each built
+    image must have the predicted size.  When no move reduces, a
+    breadth-first sweep of the equal-size plateau looks for a smaller
+    state, restarting the descent if it finds one.  By Gersten's peak
+    reduction the descent ends at the orbit minimum, where K is a free
+    factor iff the cyclic core is a single vertex.  Permutation
+    automorphisms never change sizes and are not used as moves; a
+    one-letter alphabet has no multiplier moves at all.
     """
-    cur = k
-    if cur.vertex_count == 1:
-        return True
+    cur = _cyclic_core(k)
     moves = _multiplier_moves(k.alphabet)
-    while True:
-        best = None
-        for auto in moves:
-            image = transform_subgroup(auto, cur)
-            if image.edge_count < cur.edge_count and (
-                best is None or image.edge_count < best.edge_count
-            ):
-                best = image
-        if best is not None:
-            cur = best
-            if cur.vertex_count == 1:
-                return True
+    while cur.vertex_count > 1:
+        sizes = _move_sizes(cur, _stars(cur))
+        best = min(range(len(sizes)), key=sizes.__getitem__, default=None)
+        if best is not None and sizes[best] < cur.edge_count:
+            cur = _apply_move(moves[best], cur, sizes[best])
             continue
         smaller = _plateau_search(cur, moves, plateau_budget)
         if smaller is None:
-            return cur.vertex_count == 1
+            break
         cur = smaller
-        if cur.vertex_count == 1:
-            return True
+    return cur.vertex_count == 1
 
 
 def _plateau_search(
     start: SubgroupGraph, moves: Sequence[WhiteheadAuto], budget: int
 ) -> Optional[SubgroupGraph]:
-    """Sweep the orbit plateau at the current size; return a strictly
-    smaller neighbor if one is reachable through level moves."""
+    """Sweep the plateau of cyclic cores at the size of ``start``;
+    return a strictly smaller one if level moves lead to it.
+
+    Only moves whose predicted size is at most the plateau's are built.
+    States are conjugacy classes, told apart by ``_conjugacy_key``, and
+    at most ``budget`` of them are visited.
+    """
     size = start.edge_count
-    visited = {start.canonical_key()}
+    visited = {_conjugacy_key(start, _stars(start))}
     frontier = deque([start])
     while frontier:
         g = frontier.popleft()
-        for auto in moves:
-            image = transform_subgroup(auto, g)
-            if image.edge_count < size:
-                return image
-            if image.edge_count > size:
+        for auto, predicted in zip(moves, _move_sizes(g, _stars(g))):
+            if predicted > size:
                 continue
-            key = image.canonical_key()
+            image = _apply_move(auto, g, predicted)
+            if predicted < size:
+                return image
+            key = _conjugacy_key(image, _stars(image))
             if key in visited:
                 continue
             if len(visited) >= budget:
@@ -211,6 +236,74 @@ def _plateau_search(
             visited.add(key)
             frontier.append(image)
     return None
+
+
+def _cyclic_core(g: SubgroupGraph) -> SubgroupGraph:
+    """The graph with the stem to its base removed, based where the stem
+    ended: the graph of a conjugate of the subgroup, core at every vertex."""
+    t = type_with_anchor(g.based)
+    return _canonical_core(g.alphabet, g.graph.step_maps(), t.host_vertices[t.anchor])[0]
+
+
+def _stars(g: SubgroupGraph) -> list[int]:
+    """The star of each vertex: the signed labels leaving it, as a bitmask."""
+    return [sum(1 << code for code in m) for m in g.graph.step_maps()]
+
+
+@lru_cache(maxsize=64)
+def _move_cuts(alphabet: Alphabet) -> tuple[tuple[int, int], ...]:
+    """For each move of ``_multiplier_moves``, the bitmask of its cut
+    ``B = {a} u {x^-1 : x in A, x != a}`` and the letter of ``a``."""
+    cuts = []
+    for auto in _multiplier_moves(alphabet):
+        a = auto.multiplier
+        b = 1 << a  # type: ignore[operator]
+        for x in auto.carrier:  # type: ignore[union-attr]
+            if x != a:
+                b |= 1 << (x ^ 1)
+        cuts.append((b, a >> 1))  # type: ignore[operator]
+    return tuple(cuts)
+
+
+def _move_sizes(g: SubgroupGraph, stars: list[int]) -> list[int]:
+    """Edge count of the cyclic core of each multiplier image of the
+    cyclic core ``g``, in ``_multiplier_moves`` order: ``#E - #{a-edges}``
+    plus the vertices whose star meets both B and its complement."""
+    letters = [0] * g.alphabet.size
+    for _, x, _ in g.graph.edges:
+        letters[x] += 1
+    classes = Counter(stars).items()
+    size = g.edge_count
+    return [
+        size - letters[a] + sum(n for m, n in classes if 0 != m & b != m)
+        for b, a in _move_cuts(g.alphabet)
+    ]
+
+
+def _apply_move(auto: WhiteheadAuto, g: SubgroupGraph, predicted: int) -> SubgroupGraph:
+    """Cyclic core of the image of ``g``, checked against its predicted size."""
+    image = _cyclic_core(transform_subgroup(auto, g))
+    if image.edge_count != predicted:
+        raise AssertionError(
+            f"a Whitehead move was predicted to give {predicted} edges "
+            f"and gave {image.edge_count}"
+        )
+    return image
+
+
+def _conjugacy_key(g: SubgroupGraph, stars: list[int]) -> tuple:
+    """A key that two cyclic cores share iff they are isomorphic, i.e.
+    iff their subgroups are conjugate: the least canonical edge list over
+    the base vertices whose star class is the rarest (ties go to the
+    smaller mask).  Isomorphisms keep stars, so the choice of bases is
+    invariant."""
+    counts = Counter(stars)
+    rare = min(counts, key=lambda m: (counts[m], m))
+    steps = g.graph.step_maps()
+    return min(
+        tuple(sorted((pos[o], x, pos[t]) for o, x, t in g.graph.edges))
+        for pos in (_core_numbering(steps, v) for v, m in enumerate(stars) if m == rare)
+    )
 
 
 def is_free_factor(

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
 from random import Random
 from typing import Optional, Sequence
 
-from freegroups.errors import InvalidInputError
+from freegroups.errors import InvalidInputError, ResourceLimitError
 from freegroups.extensions import ExtensionVerdict, principal_quotients
 from freegroups.graph import (
     Edge,
@@ -27,7 +28,7 @@ from freegroups.subgroup import (
     spanning_tree,
     stallings_graph,
 )
-from freegroups.whitehead import is_free_factor
+from freegroups.whitehead import _multiplier_moves, is_free_factor, transform_subgroup
 from freegroups.words import (
     Alphabet,
     Word,
@@ -390,3 +391,43 @@ def component_analysis_by_full_product(
                 raise AssertionError("oracle witness must meet K")
         reports.append(ComponentReport(comp, base_id in renum, (v, u), comp_rank, witness))
     return reports
+
+
+def free_factor_by_based_descent(k: SubgroupGraph, plateau_budget: int = 10_000) -> bool:
+    """Free factor of the ambient group by Whitehead minimization of the
+    based graph: every descent step builds the image of every multiplier
+    move and keeps the smallest; a breadth-first sweep of the equal-size
+    plateau, keyed by based graphs, looks for a way further down."""
+    moves = _multiplier_moves(k.alphabet)
+
+    def smallest_image(g: SubgroupGraph) -> Optional[SubgroupGraph]:
+        images = [transform_subgroup(auto, g) for auto in moves]
+        return min(images, key=lambda h: h.edge_count, default=None)
+
+    def plateau(start: SubgroupGraph) -> Optional[SubgroupGraph]:
+        size = start.edge_count
+        visited = {start.canonical_key()}
+        frontier = deque([start])
+        while frontier:
+            g = frontier.popleft()
+            for auto in moves:
+                image = transform_subgroup(auto, g)
+                if image.edge_count < size:
+                    return image
+                if image.edge_count > size or image.canonical_key() in visited:
+                    continue
+                if len(visited) >= plateau_budget:
+                    raise ResourceLimitError("plateau search exceeded its budget")
+                visited.add(image.canonical_key())
+                frontier.append(image)
+        return None
+
+    cur = k
+    while cur.vertex_count > 1:
+        best = smallest_image(cur)
+        if best is None or best.edge_count >= cur.edge_count:
+            best = plateau(cur)
+            if best is None:
+                break
+        cur = best
+    return cur.vertex_count == 1

@@ -222,7 +222,7 @@ def test_plateau_budget_flag(capsys):
     )
     assert (code, out) == (0, "yes\n")
     code, _, err = run(
-        capsys, "--alphabet", "ab", "free-factor", "--sub", "aa,bb", "--ambient",
+        capsys, "--alphabet", "ab", "free-factor", "--sub", "aabb", "--ambient",
         "--plateau-budget", "1",
     )
     assert code == 3 and "budget" in err

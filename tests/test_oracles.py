@@ -1,8 +1,10 @@
-"""The step-map walks against independent oracles.
+"""The step-map walks and the Whitehead descent against independent oracles.
 
 The base-component intersection, the streamed component reports and the
 fused fold -> core -> canonical builds must give exactly what the full
-product graph and the unfused builds give.
+product graph and the unfused builds give.  The star-split sizes of
+Whitehead moves must match the built images, and the descent on cyclic
+cores must decide free factors as the descent on based graphs does.
 """
 
 import os
@@ -15,10 +17,26 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freegroups.graph import XDigraph, connected_components, core, fold_all, is_folded
+from freegroups.graph import (
+    XDigraph,
+    connected_components,
+    core,
+    fold_all,
+    is_folded,
+    type_graph,
+)
 from freegroups.intersect import component_analysis, intersection, is_cyclonormal, is_malnormal
 from freegroups.subgroup import basis, conjugate, join, stallings_graph
-from freegroups.words import Word, free_reduce, identity, invert, multiply, parse_word
+from freegroups.whitehead import (
+    _cyclic_core,
+    _move_sizes,
+    _multiplier_moves,
+    _stars,
+    enumerate_whitehead,
+    is_free_factor_of_ambient,
+    transform_subgroup,
+)
+from freegroups.words import Alphabet, Word, free_reduce, identity, invert, multiply, parse_word
 
 from helpers import (
     AB,
@@ -26,12 +44,15 @@ from helpers import (
     component_analysis_by_full_product,
     conjugate_unfused,
     core_by_leaf_deletion,
+    free_factor_by_based_descent,
     intersection_by_full_product,
     join_unfused,
     rand_subgroup,
     rand_word,
     stallings_graph_unfused,
 )
+
+ABCD = Alphabet.from_string("abcd")
 
 
 def _subgroup(rng: Random, alphabet, max_vertices: int):
@@ -212,6 +233,80 @@ fs.fold_all = lambda g, rng=None: FoldResult(g, tuple(range(g.vertex_count)))
 try:
     fs.stallings_graph(ab, [parse_word("ab", ab), parse_word("aB", ab)])
 except (AssertionError, InvalidInputError):
+    print("raised")
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.stdout.strip() == "raised", done.stderr
+
+
+# -- Whitehead descent ------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([AB, ABC, ABCD]), st.integers(0, 2**32))
+def test_move_sizes_match_built_images(alphabet, seed):
+    # every multiplier move's predicted size is the edge count of the
+    # cyclic core (type graph) of the image that transform_subgroup builds
+    h = _subgroup(Random(seed), alphabet, max_vertices=8)
+    c = _cyclic_core(h)
+    sizes = _move_sizes(c, _stars(c))
+    moves = _multiplier_moves(alphabet)
+    assert len(sizes) == len(moves)
+    for auto, predicted in zip(moves, sizes):
+        assert predicted == len(type_graph(transform_subgroup(auto, h).based).edges)
+
+
+def _sub_rose_image(rng: Random, alphabet):
+    """A Whitehead image of a proper sub-rose: a free factor."""
+    sub = alphabet.symbols[: rng.randint(1, alphabet.size - 1)]
+    h = stallings_graph(alphabet, [parse_word(x, alphabet) for x in sub])
+    family = enumerate_whitehead(alphabet)
+    for _ in range(rng.randint(1, 5)):
+        h = transform_subgroup(family[rng.randrange(len(family))], h)
+    return h
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([AB, ABC]), st.integers(0, 2**32))
+def test_free_factor_matches_based_descent_on_small_subgroups(alphabet, seed):
+    # the based descent's plateaus grow fast in F3: at most two generators
+    # and 6 vertices in F2, 4 in F3, keep it near 50 ms a case
+    limit = 6 if alphabet is AB else 4
+    rng = Random(seed)
+    while True:
+        h = rand_subgroup(rng, alphabet, max_gens=2, max_len=6, max_vertices=limit)
+        if rng.random() < 0.5:
+            h = conjugate(h, rand_word(rng, alphabet, 3))
+        if h.vertex_count <= limit:
+            break
+    assert is_free_factor_of_ambient(h) == free_factor_by_based_descent(h)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([AB, ABC, ABCD]), st.integers(0, 2**32))
+def test_free_factor_matches_based_descent_on_sub_rose_images(alphabet, seed):
+    h = _sub_rose_image(Random(seed), alphabet)
+    assert is_free_factor_of_ambient(h)
+    assert free_factor_by_based_descent(h)
+
+
+def test_mispredicted_move_raises_under_optimize():
+    # with the size predictor off by one, the built image of the chosen
+    # move disagrees with it, and the check must still fire under -O
+    script = """
+import freegroups.whitehead as fw
+from freegroups.subgroup import stallings_graph
+from freegroups.words import Alphabet, parse_word
+ab = Alphabet.from_string("ab")
+sizes = fw._move_sizes
+fw._move_sizes = lambda g, stars: [s - 1 for s in sizes(g, stars)]
+try:
+    fw.is_free_factor_of_ambient(stallings_graph(ab, [parse_word("abab", ab)]))
+except AssertionError:
     print("raised")
 """
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -482,3 +482,22 @@ def test_subgroup_graph_validation():
         SubgroupGraph(XDigraph(AB, 3, [(0, 0, 0), (1, 0, 2), (2, 0, 1)]), 0)
     with pytest.raises(InvalidInputError, match="core"):
         SubgroupGraph(XDigraph(AB, 2, [(0, 0, 0), (0, 1, 1)]), 0)
+
+
+def test_subgroup_graph_hands_its_checked_step_maps_on():
+    # the maps built to validate a graph are renumbered into the canonical
+    # graph, and the input graph no longer holds them
+    from freegroups.graph import XDigraph
+
+    rng = Random(91)
+    for _ in range(20):
+        h = rand_subgroup(rng, AB, max_vertices=9)
+        perm = list(range(h.vertex_count))
+        rng.shuffle(perm)
+        g = XDigraph(AB, h.vertex_count, [(perm[o], x, perm[t]) for o, x, t in h.graph.edges])
+        g.step_maps()
+        loaded = SubgroupGraph(g, perm[h.base])
+        assert loaded == h
+        assert g._steps is None
+        fresh = XDigraph(AB, h.vertex_count, loaded.graph.edges)
+        assert loaded.graph.step_maps() == fresh.step_maps()

@@ -111,6 +111,10 @@ def test_ambient_free_factor_examples():
     assert is_free_factor_of_ambient(trivial_subgroup(AB))
     # commutator is not part of any basis
     assert not is_free_factor_of_ambient(stallings_graph(AB, [P("abAB")]))
+    # one letter: no multiplier moves, the cyclic core decides
+    assert is_free_factor_of_ambient(stallings_graph(A1, [parse_word("a", A1)]))
+    assert not is_free_factor_of_ambient(stallings_graph(A1, [parse_word("aa", A1)]))
+    assert is_free_factor_of_ambient(trivial_subgroup(A1))
 
 
 def test_relative_free_factor_examples():
@@ -156,8 +160,12 @@ def test_plateau_budget_is_enforced():
 
     with pytest.raises(ResourceLimitError):
         is_free_factor_of_ambient(
-            stallings_graph(AB, [P("aa"), P("bb")]), plateau_budget=1
+            stallings_graph(AB, [P("aabb")]), plateau_budget=1
         )
+    # the plateau of <aa, bb> up to conjugacy is the one state
+    assert not is_free_factor_of_ambient(
+        stallings_graph(AB, [P("aa"), P("bb")]), plateau_budget=1
+    )
 
 
 def test_embedded_subgraph_is_free_factor():
