@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -50,10 +49,13 @@ def _load_subgroup(spec: str, alphabet: Alphabet) -> SubgroupGraph:
     if text.startswith("{"):
         return _subgroup_from_json(text, alphabet)
     if text.endswith(".json"):
-        if not os.path.exists(text):
-            raise InvalidInputError(f"graph file not found: {text}")
-        with open(text) as fh:
-            return _subgroup_from_json(fh.read(), alphabet)
+        try:
+            with open(text, encoding="utf-8") as fh:
+                return _subgroup_from_json(fh.read(), alphabet)
+        except OSError as exc:
+            raise InvalidInputError(f"cannot read graph file {text}: {exc.strerror}") from None
+        except UnicodeDecodeError:
+            raise InvalidInputError(f"graph file {text} is not UTF-8 text") from None
     return sub.stallings_graph(alphabet, _load_words(text, alphabet))
 
 
@@ -65,14 +67,17 @@ def _subgroup_from_json(text: str, alphabet: Alphabet) -> SubgroupGraph:
 
 
 def _emit_graph(g: SubgroupGraph, args) -> None:
-    print(graph_to_json(g.based))
     if args.dot:
         emit_dot(g.based, args.dot)
+    print(graph_to_json(g.based))
 
 
 def emit_dot(g: BasedGraph, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(to_dot(g))
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(to_dot(g))
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _answer(ok: bool, args, cert: Optional[dict] = None) -> int:
@@ -148,7 +153,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("free-factor", help="free factor test")
     p.add_argument("--ambient", action="store_true", help="test against the whole group")
     p.add_argument("--in", dest="inside", metavar="SUB", help="test inside this subgroup")
-    p.add_argument("--plateau-budget", type=int, default=DEFAULT_PLATEAU_BUDGET)
+    p.add_argument("--plateau-budget", type=int, default=DEFAULT_PLATEAU_BUDGET,
+                   help="accepted for compatibility; the test is exact and ignores it")
     add("quotients", help="principal quotients of the subgroup graph")
     add("ext-type", help="classify an extension K <= H as algebraic or free")
     add("extensions", help="all algebraic extensions")
@@ -253,6 +259,8 @@ def _dispatch(args, alphabet: Alphabet) -> int:
     if verb == "hall":
         (g,) = _need_subs(args, alphabet, 1)
         result = sub.hall_completion(g, _need_word(args, alphabet))
+        if args.dot:
+            emit_dot(result.subgroup.based, args.dot)
         if args.json:
             print(json.dumps({
                 "index": result.finite_index,
@@ -264,8 +272,6 @@ def _dispatch(args, alphabet: Alphabet) -> int:
             print(f"index: {result.finite_index}")
             print("basis_h: " + ",".join(format_word(w) for w in result.basis_h))
             print("basis_c: " + ",".join(format_word(w) for w in result.basis_c))
-        if args.dot:
-            emit_dot(result.subgroup.based, args.dot)
         return 0
 
     if verb == "join":
@@ -322,9 +328,9 @@ def _dispatch(args, alphabet: Alphabet) -> int:
         (k,) = _need_subs(args, alphabet, 1)
         if args.inside is not None:
             h = _load_subgroup(args.inside, alphabet)
-            ok = is_free_factor(k, h, args.plateau_budget)
+            ok = is_free_factor(k, h)
         else:
-            ok = is_free_factor_of_ambient(k, args.plateau_budget)
+            ok = is_free_factor_of_ambient(k)
         return _answer(ok, args)
 
     if verb == "quotients":
@@ -378,12 +384,10 @@ def _dispatch(args, alphabet: Alphabet) -> int:
 
     if verb == "dot":
         (g,) = _need_subs(args, alphabet, 1)
-        text = to_dot(g.based)
         if args.dot:
-            with open(args.dot, "w") as fh:
-                fh.write(text)
+            emit_dot(g.based, args.dot)
         else:
-            print(text, end="")
+            print(to_dot(g.based), end="")
         return 0
 
     raise InvalidInputError(f"unknown verb {verb!r}")

@@ -245,8 +245,9 @@ def algebraic_closure(
     plateau_budget: int = DEFAULT_PLATEAU_BUDGET,
 ) -> SubgroupGraph:
     """The largest algebraic extension of K; well defined because the
-    join of two algebraic extensions is again algebraic."""
-    exts = algebraic_extensions(k, max_vertices, plateau_budget)
+    join of two algebraic extensions is again algebraic.
+    ``plateau_budget`` has no effect."""
+    exts = algebraic_extensions(k, max_vertices)
     for h in exts:
         if all(canonical_morphism(e.based, h.based) is not None for e in exts):
             return h
@@ -257,8 +258,9 @@ def is_algebraically_closed(
     k: SubgroupGraph, plateau_budget: int = DEFAULT_PLATEAU_BUDGET
 ) -> bool:
     """K equals its own algebraic closure iff it is a free factor of the
-    ambient free group; delegated to the ambient free-factor test."""
-    return is_free_factor_of_ambient(k, plateau_budget)
+    ambient free group; delegated to the ambient free-factor test.
+    ``plateau_budget`` has no effect."""
+    return is_free_factor_of_ambient(k)
 
 
 class IsolationResult(NamedTuple):
@@ -407,7 +409,7 @@ def malnormal_closure(
     exceeds the rank of K.  ``plateau_budget`` has no effect."""
     if k.is_trivial():
         raise InvalidInputError("malnormal closure is defined for nontrivial subgroups")
-    exts = algebraic_extensions(k, max_vertices, plateau_budget)
+    exts = algebraic_extensions(k, max_vertices)
     mal = [e for e in exts if is_malnormal(e)[0]]
     result = _closure_among(k, mal, "malnormal")
     if rank(result) > rank(k):
@@ -431,7 +433,7 @@ def isolator(
     """
     if k.is_trivial():
         raise InvalidInputError("isolator is defined for nontrivial subgroups")
-    exts = algebraic_extensions(k, max_vertices, plateau_budget)
+    exts = algebraic_extensions(k, max_vertices)
     iso = [
         e
         for e in exts

@@ -38,9 +38,11 @@ from .graph import (
     is_regular,
     regular_complete,
     trace_path,
+    transport,
     type_with_anchor,
 )
-from .words import Alphabet, Word, free_reduce, identity, invert, multiply, cyclic_reduce
+from .words import (Alphabet, Word, cyclic_reduce, free_reduce, identity, invert, multiply,
+                    synthetic_alphabet)
 
 
 class SubgroupGraph:
@@ -107,6 +109,8 @@ def _canonicalize(graph: XDigraph, base: int) -> XDigraph:
     """
     if not 0 <= base < graph.vertex_count:
         raise InvalidInputError(f"base vertex {base} out of range")
+    if graph.vertex_count > len(graph.edges) + 1:  # before a dict per vertex
+        raise InvalidInputError("subgroup graph must be connected")
     steps = graph.step_maps()  # raises if not folded
     pos = _core_numbering(steps, base)
     if len(pos) != graph.vertex_count:
@@ -532,8 +536,6 @@ def conjugate_into(k: SubgroupGraph, h: SubgroupGraph) -> Optional[Word]:
     """
     if h.alphabet != k.alphabet:
         raise AlphabetMismatchError("subgroups use different alphabets")
-    from .graph import transport  # local import to keep module tops light
-
     tk = type_with_anchor(k.based)
     th = type_with_anchor(h.based)
     f = Word(k.alphabet, tk.stem)
@@ -642,8 +644,6 @@ def rebase_inside(m: SubgroupGraph, h: SubgroupGraph) -> SubgroupGraph:
     """
     if canonical_morphism(m.based, h.based) is None:
         raise InvalidInputError("rebase_inside needs M to be a subgroup of H")
-    from .words import synthetic_alphabet
-
     tree = spanning_tree(h, geodesic=True)
     target = synthetic_alphabet(rank(h))
     gens = []

@@ -27,21 +27,21 @@ the complexity of the Whitehead minimization problem", IJAC 17, 2007).
 So the sizes of all moves are read off the vertices grouped by star,
 and only the image of the chosen move is built, with its size checked
 against the prediction.  Gersten's peak reduction holds for cyclic
-cores, so greedy descent on the edge count reaches the orbit minimum; a
-breadth-first sweep of the equal-size plateau, bounded by a
-configurable state budget, stays as a safety net for level moves.
+cores: one that no multiplier move shrinks is already at its orbit
+minimum.  So greedy descent on the edge count is the whole search, and
+level moves are never explored.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
-from typing import Optional, Sequence
+from typing import Optional
 
-from .errors import InvalidInputError, ResourceLimitError
-from .graph import _core_numbering, canonical_morphism, type_with_anchor
+from .errors import InvalidInputError
+from .graph import canonical_morphism, type_with_anchor
 from .subgroup import (
     SubgroupGraph,
     _canonical_core,
@@ -177,65 +177,35 @@ def is_free_factor_of_ambient(
     """Decide whether K is a free factor of the whole free group.
 
     Works on the cyclic core of K, the graph of its conjugacy class,
-    since conjugation keeps free factors free factors.  Greedy descent on
-    the edge count under single multiplier moves reads every move's size
-    off the star masks of the current core (see the module docstring)
-    and builds only the image of the most reducing move; each built
-    image must have the predicted size.  When no move reduces, a
-    breadth-first sweep of the equal-size plateau looks for a smaller
-    state, restarting the descent if it finds one.  By Gersten's peak
-    reduction the descent ends at the orbit minimum, where K is a free
-    factor iff the cyclic core is a single vertex.  Permutation
-    automorphisms never change sizes and are not used as moves; a
-    one-letter alphabet has no multiplier moves at all.
+    since conjugation keeps free factors free factors.  Greedy descent
+    on the edge count builds only the image of the most reducing
+    multiplier move, whose size it reads off the star masks (see the
+    module docstring) and checks on the built image.  By Gersten's peak
+    reduction the first core that no move reduces is at the orbit
+    minimum, where K is a free factor iff it is a single vertex.
+    Permutations never change sizes and are not moves; a one-letter
+    alphabet has no multiplier moves.  ``plateau_budget`` has no effect.
     """
+    return _minimal_cyclic_core(k).vertex_count == 1
+
+
+def _minimal_cyclic_core(k: SubgroupGraph) -> SubgroupGraph:
+    """The end of the descent: a cyclic core that no move reduces."""
     cur = _cyclic_core(k)
     moves = _multiplier_moves(k.alphabet)
     while cur.vertex_count > 1:
         sizes = _move_sizes(cur, _stars(cur))
         best = min(range(len(sizes)), key=sizes.__getitem__, default=None)
-        if best is not None and sizes[best] < cur.edge_count:
-            cur = _apply_move(moves[best], cur, sizes[best])
-            continue
-        smaller = _plateau_search(cur, moves, plateau_budget)
-        if smaller is None:
+        if best is None or sizes[best] >= cur.edge_count:
             break
-        cur = smaller
-    return cur.vertex_count == 1
-
-
-def _plateau_search(
-    start: SubgroupGraph, moves: Sequence[WhiteheadAuto], budget: int
-) -> Optional[SubgroupGraph]:
-    """Sweep the plateau of cyclic cores at the size of ``start``;
-    return a strictly smaller one if level moves lead to it.
-
-    Only moves whose predicted size is at most the plateau's are built.
-    States are conjugacy classes, told apart by ``_conjugacy_key``, and
-    at most ``budget`` of them are visited.
-    """
-    size = start.edge_count
-    visited = {_conjugacy_key(start, _stars(start))}
-    frontier = deque([start])
-    while frontier:
-        g = frontier.popleft()
-        for auto, predicted in zip(moves, _move_sizes(g, _stars(g))):
-            if predicted > size:
-                continue
-            image = _apply_move(auto, g, predicted)
-            if predicted < size:
-                return image
-            key = _conjugacy_key(image, _stars(image))
-            if key in visited:
-                continue
-            if len(visited) >= budget:
-                raise ResourceLimitError(
-                    f"plateau search exceeded its budget of {budget} states; "
-                    "raise plateau_budget to continue"
-                )
-            visited.add(key)
-            frontier.append(image)
-    return None
+        image = _cyclic_core(transform_subgroup(moves[best], cur))
+        if image.edge_count != sizes[best]:
+            raise AssertionError(
+                f"a Whitehead move was predicted to give {sizes[best]} edges "
+                f"and gave {image.edge_count}"
+            )
+        cur = image
+    return cur
 
 
 def _cyclic_core(g: SubgroupGraph) -> SubgroupGraph:
@@ -280,32 +250,6 @@ def _move_sizes(g: SubgroupGraph, stars: list[int]) -> list[int]:
     ]
 
 
-def _apply_move(auto: WhiteheadAuto, g: SubgroupGraph, predicted: int) -> SubgroupGraph:
-    """Cyclic core of the image of ``g``, checked against its predicted size."""
-    image = _cyclic_core(transform_subgroup(auto, g))
-    if image.edge_count != predicted:
-        raise AssertionError(
-            f"a Whitehead move was predicted to give {predicted} edges "
-            f"and gave {image.edge_count}"
-        )
-    return image
-
-
-def _conjugacy_key(g: SubgroupGraph, stars: list[int]) -> tuple:
-    """A key that two cyclic cores share iff they are isomorphic, i.e.
-    iff their subgroups are conjugate: the least canonical edge list over
-    the base vertices whose star class is the rarest (ties go to the
-    smaller mask).  Isomorphisms keep stars, so the choice of bases is
-    invariant."""
-    counts = Counter(stars)
-    rare = min(counts, key=lambda m: (counts[m], m))
-    steps = g.graph.step_maps()
-    return min(
-        tuple(sorted((pos[o], x, pos[t]) for o, x, t in g.graph.edges))
-        for pos in (_core_numbering(steps, v) for v, m in enumerate(stars) if m == rare)
-    )
-
-
 def is_free_factor(
     k: SubgroupGraph,
     h: SubgroupGraph,
@@ -315,10 +259,10 @@ def is_free_factor(
 
     K's generators are rewritten over a geodesic-tree basis of H, which
     identifies H with an abstract free group, and the ambient test is
-    run there.
+    run there.  ``plateau_budget`` has no effect.
     """
     if canonical_morphism(k.based, h.based) is None:
         raise InvalidInputError("is_free_factor needs K to be a subgroup of H")
     if rank(h) == 0:
         return True  # both trivial
-    return is_free_factor_of_ambient(rebase_inside(k, h), plateau_budget)
+    return is_free_factor_of_ambient(rebase_inside(k, h))

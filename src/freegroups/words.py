@@ -43,11 +43,10 @@ class Alphabet:
     @classmethod
     def from_string(cls, text: str) -> "Alphabet":
         """Build an alphabet of one-letter symbols, e.g. ``"ab"``."""
-        for ch in text:
-            if not (ch.isalpha() and ch == ch.lower()):
-                raise InvalidInputError(
-                    f"alphabet string must be lowercase letters, got {text!r}"
-                )
+        if not all(map(_is_cased_letter, text)):
+            raise InvalidInputError(
+                f"alphabet string must be lowercase letters with an uppercase, got {text!r}"
+            )
         return cls(text)
 
     @property
@@ -73,7 +72,7 @@ class Alphabet:
         return sym if code & 1 == 0 else sym + "^-1"
 
     def single_letter(self) -> bool:
-        return all(len(s) == 1 and s.isalpha() and s == s.lower() for s in self.symbols)
+        return all(map(_is_cased_letter, self.symbols))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Alphabet) and self.symbols == other.symbols
@@ -83,6 +82,12 @@ class Alphabet:
 
     def __repr__(self) -> str:
         return f"Alphabet({''.join(self.symbols) if self.single_letter() else self.symbols!r})"
+
+
+def _is_cased_letter(s: str) -> bool:
+    """A lowercase letter whose uppercase (its inverse) is one other
+    character that lowercases back to it: not ``ß``, ``ς`` or caseless."""
+    return s.isalpha() and s != s.upper() and len(s.upper()) == 1 and s.upper().lower() == s
 
 
 def inverse_code(code: int) -> int:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from functools import lru_cache
 from random import Random
 from typing import Optional, Sequence
@@ -14,6 +14,7 @@ from freegroups.graph import (
     Morphism,
     Subgraph,
     XDigraph,
+    _core_numbering,
     canonical_morphism,
     fold_all,
     product,
@@ -28,7 +29,14 @@ from freegroups.subgroup import (
     spanning_tree,
     stallings_graph,
 )
-from freegroups.whitehead import _multiplier_moves, is_free_factor, transform_subgroup
+from freegroups.whitehead import (
+    _cyclic_core,
+    _move_sizes,
+    _multiplier_moves,
+    _stars,
+    is_free_factor,
+    transform_subgroup,
+)
 from freegroups.words import (
     Alphabet,
     Word,
@@ -431,3 +439,55 @@ def free_factor_by_based_descent(k: SubgroupGraph, plateau_budget: int = 10_000)
                 break
         cur = best
     return cur.vertex_count == 1
+
+
+def smaller_state_on_plateau(
+    start: SubgroupGraph, budget: int = 10_000
+) -> Optional[SubgroupGraph]:
+    """Breadth-first sweep of the plateau of cyclic cores at the size of
+    the cyclic core ``start``: return a strictly smaller cyclic core if
+    level multiplier moves lead to one, else None.
+
+    Only moves whose predicted size is at most the plateau's are built,
+    and each built image must have its predicted size.  States are
+    conjugacy classes, told apart by ``_conjugacy_key``; more than
+    ``budget`` of them raise ``ResourceLimitError``.
+    """
+    size = start.edge_count
+    moves = _multiplier_moves(start.alphabet)
+    visited = {_conjugacy_key(start)}
+    frontier = deque([start])
+    while frontier:
+        g = frontier.popleft()
+        for auto, predicted in zip(moves, _move_sizes(g, _stars(g))):
+            if predicted > size:
+                continue
+            image = _cyclic_core(transform_subgroup(auto, g))
+            if image.edge_count != predicted:
+                raise AssertionError("a built plateau image differs from its predicted size")
+            if predicted < size:
+                return image
+            key = _conjugacy_key(image)
+            if key in visited:
+                continue
+            if len(visited) >= budget:
+                raise ResourceLimitError(f"plateau sweep exceeded its budget of {budget} states")
+            visited.add(key)
+            frontier.append(image)
+    return None
+
+
+def _conjugacy_key(g: SubgroupGraph) -> tuple:
+    """A key that two cyclic cores share iff they are isomorphic, i.e.
+    iff their subgroups are conjugate: the least canonical edge list over
+    the base vertices whose star class is the rarest (ties go to the
+    smaller mask).  Isomorphisms keep stars, so the choice of bases is
+    invariant."""
+    stars = _stars(g)
+    counts = Counter(stars)
+    rare = min(counts, key=lambda m: (counts[m], m))
+    steps = g.graph.step_maps()
+    return min(
+        tuple(sorted((pos[o], x, pos[t]) for o, x, t in g.graph.edges))
+        for pos in (_core_numbering(steps, v) for v, m in enumerate(stars) if m == rare)
+    )

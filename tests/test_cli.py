@@ -215,17 +215,39 @@ def test_dot_edges_match_json_fixture(capsys):
     assert from_dot == from_json
 
 
-def test_plateau_budget_flag(capsys):
+def test_plateau_budget_flag_has_no_effect(capsys):
+    # accepted for compatibility: the test is exact and never trips a budget
     code, out, _ = run(
         capsys, "--alphabet", "ab", "free-factor", "--sub", "ab", "--ambient",
         "--plateau-budget", "50",
     )
     assert (code, out) == (0, "yes\n")
-    code, _, err = run(
-        capsys, "--alphabet", "ab", "free-factor", "--sub", "aabb", "--ambient",
-        "--plateau-budget", "1",
-    )
-    assert code == 3 and "budget" in err
+    argv = ("--alphabet", "ab", "free-factor", "--sub", "aabb", "--ambient",
+            "--plateau-budget", "1")
+    assert run(capsys, *argv) == (0, "no\n", "")
+    assert run(capsys, *argv, "--strict") == (1, "no\n", "")
+
+
+def test_unreadable_graph_file_exit_2(capsys, tmp_path):
+    folder = tmp_path / "x.json"
+    folder.mkdir()
+    code, _, err = run(capsys, "--alphabet", "ab", "graph", "--sub", str(folder))
+    assert code == 2 and str(folder) in err
+
+
+def test_non_utf8_graph_file_exit_2(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(ROSE_A).replace("ab", "\u00e9b").encode("latin-1"))
+    code, _, err = run(capsys, "--alphabet", "ab", "graph", "--sub", str(path))
+    assert code == 2 and str(path) in err
+
+
+@pytest.mark.parametrize("verb", ["graph", "dot"])
+def test_dot_into_missing_directory_exit_2(capsys, tmp_path, verb):
+    # the DOT file is written before any result is printed
+    path = tmp_path / "missing" / "g.dot"
+    code, out, err = run(capsys, "--alphabet", "ab", verb, "--sub", "aa", "--dot", str(path))
+    assert (code, out) == (2, "") and str(path) in err
 
 
 # -- fuzzing the exit-code contract --------------------------------------------
@@ -246,16 +268,33 @@ GRAPH_CORPUS = [json.dumps(ROSE_A), "{", "missing.json", ""] + [
     json.dumps({**ROSE_A, field: value}) for field, value in MALFORMED_FIELDS
 ]
 # a well-formed command line, or one with a single fault of each kind
-FAULTS = (None,) * 6 + ("alphabet", "graph json", "sub count", "flag", "word", "number")
+FAULTS = (None,) * 6 + ("alphabet", "graph json", "sub count", "flag", "word", "number",
+                        "dot file")
 NUMBERS = st.one_of(st.integers(0, 60).map(str), st.sampled_from(["-1", "", "x", "1.5"]))
 
 
+# subgroups on which the old plateau sweep exceeded --plateau-budget 1
+BUDGET_TRIPPERS = ("aabb", "aaa,b")
+
+
+@pytest.fixture(scope="module")
+def bad_paths(tmp_path_factory) -> dict[str, list[str]]:
+    """Graph files that cannot be read and a DOT path that cannot be written."""
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "folder.json").mkdir()
+    (root / "latin1.json").write_bytes(b'{"alphabet": "\xe9b"}')
+    return {"graph": [str(root / "folder.json"), str(root / "latin1.json")],
+            "dot": [str(root / "missing" / "g.dot")]}
+
+
 @st.composite
-def cli_argv(draw, verb: str) -> list[str]:
+def cli_argv(draw, verb: str, bad_paths: dict[str, list[str]]) -> list[str]:
     """An fg command line with random words, subgroups and budget flags:
     well formed for its verb, or with one fault drawn from FAULTS.  The
     second subgroup of ``ext-type`` and the ``--in`` subgroup contain
-    the first, as those verbs require, unless a fault intervenes."""
+    the first, as those verbs require, unless a fault intervenes.  Faulty
+    graph inputs include unreadable files, and a file fault writes
+    ``--dot`` into a missing directory."""
     alphabet = draw(st.sampled_from(["ab", "ab", "ab", "abc"]))
     letters = alphabet + alphabet.upper()
     subgroup = st.lists(
@@ -268,8 +307,11 @@ def cli_argv(draw, verb: str) -> list[str]:
     subs = [draw(subgroup) for _ in range(count)]
     if verb == "ext-type" and count == 2:
         subs[1] = subs[0] + "," + subs[1]
+    if verb == "free-factor" and subs and draw(st.booleans()):
+        subs[0] = draw(st.sampled_from(BUDGET_TRIPPERS))
     if fault == "graph json" and subs:
-        subs[draw(st.integers(0, len(subs) - 1))] = draw(st.sampled_from(GRAPH_CORPUS))
+        corpus = GRAPH_CORPUS + bad_paths["graph"]
+        subs[draw(st.integers(0, len(subs) - 1))] = draw(st.sampled_from(corpus))
     argv = ["--alphabet", draw(st.sampled_from(["", "aB", "a1"])) if fault == "alphabet"
             else alphabet, verb]
     for spec in subs:
@@ -284,6 +326,8 @@ def cli_argv(draw, verb: str) -> list[str]:
         flags.append(draw(st.sampled_from(CHOICE_FLAGS[verb])))
     if verb == "free-factor" and draw(st.booleans()):
         flags.append("--plateau-budget")
+    if fault == "dot file":
+        argv += ["--dot", draw(st.sampled_from(bad_paths["dot"]))]
     if fault == "flag":
         flags.append(draw(st.sampled_from(("--geodesic", "--depth", "--plateau-budget",
                                            "--algebraic", "--ambient", "--in"))))
@@ -292,16 +336,16 @@ def cli_argv(draw, verb: str) -> list[str]:
         if flag == "--in":
             argv.append(",".join(subs[:1] + [draw(subgroup)]))
         elif flag in ("--depth", "--plateau-budget"):
-            argv.append(draw(NUMBERS) if fault == "number" else draw(st.integers(1, 60).map(str)))
+            argv.append(draw(NUMBERS) if fault == "number" else draw(st.integers(0, 60).map(str)))
     return argv
 
 
 @pytest.mark.parametrize("verb", VERBS)
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
-def test_cli_fuzz_exit_codes(verb, data):
+def test_cli_fuzz_exit_codes(verb, bad_paths, data):
     # every run ends in 0, 1, 2 or 3 with a message, never a traceback
-    argv = data.draw(cli_argv(verb), label="argv")
+    argv = data.draw(cli_argv(verb, bad_paths), label="argv")
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:

@@ -27,8 +27,10 @@ from freegroups.graph import (
 )
 from freegroups.intersect import component_analysis, intersection, is_cyclonormal, is_malnormal
 from freegroups.subgroup import basis, conjugate, join, stallings_graph
+from freegroups.errors import ResourceLimitError
 from freegroups.whitehead import (
     _cyclic_core,
+    _minimal_cyclic_core,
     _move_sizes,
     _multiplier_moves,
     _stars,
@@ -49,6 +51,7 @@ from helpers import (
     join_unfused,
     rand_subgroup,
     rand_word,
+    smaller_state_on_plateau,
     stallings_graph_unfused,
 )
 
@@ -292,6 +295,34 @@ def test_free_factor_matches_based_descent_on_sub_rose_images(alphabet, seed):
     h = _sub_rose_image(Random(seed), alphabet)
     assert is_free_factor_of_ambient(h)
     assert free_factor_by_based_descent(h)
+
+
+def test_plateau_sweep_finds_nothing_below_the_descent():
+    # peak reduction: a cyclic core that no multiplier move shrinks is at
+    # its orbit minimum, so no sweep of its level moves goes lower.  The
+    # cases are F2-F4 subgroups on <= 8 vertices, every second one a
+    # conjugated Whitehead image of a sub-rose; each sweep stops after 300
+    # states (one F4 plateau of seeds 0-119 is larger and takes 10 s whole)
+    swept = 0
+    for seed in range(120):
+        alphabet = (AB, ABC, ABCD)[seed % 3]
+        rng = Random(seed)
+        planted = seed % 2 == 1
+        while True:
+            if planted:
+                h = conjugate(_sub_rose_image(rng, alphabet), rand_word(rng, alphabet, 5))
+            else:
+                h = _subgroup(rng, alphabet, max_vertices=8)
+            if h.vertex_count <= 8:
+                break
+        end = _minimal_cyclic_core(h)
+        assert end.vertex_count == 1 or not planted
+        try:
+            assert smaller_state_on_plateau(end, budget=300) is None
+        except ResourceLimitError:
+            continue
+        swept += end.vertex_count > 1
+    assert swept >= 15
 
 
 def test_mispredicted_move_raises_under_optimize():

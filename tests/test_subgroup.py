@@ -501,3 +501,23 @@ def test_subgroup_graph_hands_its_checked_step_maps_on():
         assert g._steps is None
         fresh = XDigraph(AB, h.vertex_count, loaded.graph.edges)
         assert loaded.graph.step_maps() == fresh.step_maps()
+
+
+def test_far_more_vertices_than_edges_is_rejected_cheaply():
+    # a connected graph has #V <= #E + 1, which is checked before any
+    # per-vertex structure is built
+    import json
+    import tracemalloc
+
+    from freegroups.graph import graph_from_json
+
+    record = json.dumps({"alphabet": "ab", "vertices": 10**6, "base": 0, "edges": []})
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInputError, match="must be connected"):
+            based = graph_from_json(record)
+            SubgroupGraph(based.graph, based.base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

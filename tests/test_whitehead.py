@@ -155,17 +155,26 @@ def test_three_letter_alphabet():
     )
 
 
-def test_plateau_budget_is_enforced():
-    from freegroups.errors import ResourceLimitError
+def test_plateau_budget_has_no_effect():
+    # the descent alone is exact: no budget is consulted, none can trip
+    from freegroups.extensions import is_algebraically_closed
+    from freegroups.words import Alphabet
 
-    with pytest.raises(ResourceLimitError):
-        is_free_factor_of_ambient(
-            stallings_graph(AB, [P("aabb")]), plateau_budget=1
+    for budget in (0, 1, 10):
+        assert not is_free_factor_of_ambient(
+            stallings_graph(AB, [P("aabb")]), plateau_budget=budget
         )
-    # the plateau of <aa, bb> up to conjugacy is the one state
-    assert not is_free_factor_of_ambient(
-        stallings_graph(AB, [P("aa"), P("bb")]), plateau_budget=1
-    )
+        assert not is_free_factor_of_ambient(
+            stallings_graph(AB, [P("aa"), P("bb")]), plateau_budget=budget
+        )
+        assert not is_algebraically_closed(stallings_graph(AB, [P("aabb")]), budget)
+        assert is_free_factor(
+            stallings_graph(AB, [P("ab")]), stallings_graph(AB, [P("ab"), P("bb")]), budget
+        )
+    # a plateau of 98,220 level images for a breadth-first sweep
+    abcd = Alphabet.from_string("abcd")
+    k = stallings_graph(abcd, [parse_word(w, abcd) for w in ("cbDA", "adca", "abaaCA")])
+    assert not is_free_factor_of_ambient(k, plateau_budget=10)
 
 
 def test_embedded_subgraph_is_free_factor():

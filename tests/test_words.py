@@ -157,3 +157,32 @@ def test_arbitrary_symbol_identifiers():
     assert invert(invert(w)) == w
     with pytest.raises(InvalidInputError):
         parse_word("x1", alph)  # textual convention needs one-letter symbols
+
+
+def test_alphabet_letters_round_trip_through_their_uppercase():
+    # an accepted letter's inverse formats as a character that parses back;
+    # letters without such an uppercase are rejected, in the CLI too
+    import sys
+
+    from freegroups.cli import main
+
+    accepted = 0
+    for i in range(sys.maxunicode + 1):
+        ch = chr(i)
+        if ch == "a" or not (ch.isalpha() and ch == ch.lower()):
+            continue
+        try:
+            alphabet = Alphabet.from_string("a" + ch)
+        except InvalidInputError:
+            continue
+        accepted += 1
+        w = Word(alphabet, (3, 0, 2, 1))  # ch^-1 a ch a^-1
+        assert parse_word(format_word(w), alphabet) == w
+    assert accepted > 1000
+    for letter in ("ß", "ς", "ª", "ı"):
+        with pytest.raises(InvalidInputError):
+            Alphabet.from_string("a" + letter)
+        assert not Alphabet(("a", letter)).single_letter()
+    with pytest.raises(SystemExit) as exc:
+        sys.exit(main(["--alphabet", "aß", "reduce", "--word", "a"]))
+    assert exc.value.code == 2
