@@ -13,6 +13,7 @@ computed, 1 predicate answered "no" under ``--strict``, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -110,7 +111,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``fg`` parser, built once per process: parsing leaves it
+    unchanged, and argparse copies the ``--sub`` list default before
+    appending to it."""
     parser = argparse.ArgumentParser(
         prog="fg",
         description="Subgroups of free groups as folded core graphs.",

@@ -305,9 +305,10 @@ def core(g: XDigraph, v: int) -> CoreResult:
 def trace_path(g: XDigraph, start: int, w: Word) -> Optional[int]:
     """Endpoint of the path labeled ``w`` from ``start`` in a folded graph,
     or ``None`` if the path cannot be continued."""
+    steps = g.step_maps()
     v = start
     for code in w.codes:
-        nxt = g.step(v, code)
+        nxt = steps[v].get(code)
         if nxt is None:
             return None
         v = nxt

@@ -2,11 +2,13 @@
 
 The product of two subgroup graphs recognizes the intersection at the
 base pair; the remaining components describe intersections of
-conjugates, one double coset per component.  The intersection walks
-only the base component, over the step maps of both graphs; the other
-questions stream the components of the full product.  This yields
-intersection computation, malnormality and cyclonormality tests, the
-immersion criterion, and the rank inequality probe for intersections.
+conjugates, one double coset per component.  Neither is built from
+the product graph: the intersection walks only the base component,
+over the step maps of both graphs, and the other questions walk every
+component the same way, one at a time, reading pair ids and edge
+counts.  This yields intersection computation, malnormality and
+cyclonormality tests, the immersion criterion, and the rank inequality
+probe for intersections.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .errors import AlphabetMismatchError, InvalidInputError
-from .graph import XDigraph, _components, product
+from .graph import XDigraph
 from .subgroup import (
+    SpanningTree,
     SubgroupGraph,
     _canonical_core,
     conjugate,
@@ -78,59 +81,144 @@ class ComponentReport:
     double_coset_witness: Optional[Word]
 
 
+def _star_masks(steps: list[dict[int, int]]) -> list[int]:
+    """Per vertex, the set of signed codes leaving it, as a bitmask."""
+    masks = []
+    for m in steps:
+        mask = 0
+        for code in m:
+            mask |= 1 << code
+        masks.append(mask)
+    return masks
+
+
+def _product_components(
+    a: XDigraph, b: XDigraph, base_pair: tuple[int, int]
+) -> Iterator[tuple[list[int], int, bool]]:
+    """Components of the product of two folded graphs, walked over their
+    step maps without building the product.
+
+    The pair ``(v, u)`` has id ``v * #V_b + u``, so id order is the
+    lexicographic order of pairs, which is the vertex order of
+    ``product()``.  Pairs are visited in that order; a pair already
+    seen, or whose stars share no signed letter, starts no walk.  The
+    exception is the base pair, which ``product()`` keeps even when it
+    is isolated: it is then a component of one vertex.  Each component
+    is met at its least pair and yielded as its pair ids (least first,
+    then in walk order), its edge count and whether it holds the base
+    pair, so the stream follows the order of least product vertex.
+    """
+    a_steps, b_steps = a.step_maps(), b.step_maps()
+    nb = b.vertex_count
+    a_stars = [tuple(m.items()) for m in a_steps]
+    b_masks = _star_masks(b_steps)
+    base_id = base_pair[0] * nb + base_pair[1]
+    seen = bytearray(a.vertex_count * nb)
+    base_met = False
+    for v, a_mask in enumerate(_star_masks(a_steps)):
+        row = v * nb
+        for u, b_mask in enumerate(b_masks):
+            p = row + u
+            if seen[p]:
+                continue
+            if not a_mask & b_mask:
+                if p == base_id:
+                    base_met = True
+                    yield [p], 0, True
+                continue
+            seen[p] = 1
+            comp = [p]
+            half_edges = 0  # each edge is met once from each end
+            for q in comp:
+                x, y = divmod(q, nb)
+                at = b_steps[y]
+                for code, x2 in a_stars[x]:
+                    y2 = at.get(code)
+                    if y2 is not None:
+                        half_edges += 1
+                        r = x2 * nb + y2
+                        if not seen[r]:
+                            seen[r] = 1
+                            comp.append(r)
+            has_base = not base_met and seen[base_id] == 1
+            base_met = base_met or has_base
+            yield comp, half_edges >> 1, has_base
+
+
+def _witness(
+    h: SubgroupGraph, k: SubgroupGraph, tree_h: SpanningTree, tree_k: SpanningTree,
+    v: int, u: int,
+) -> Word:
+    """``g = tau * sigma^-1`` from geodesic tree paths to the pair ``(v, u)``
+    of a positive-rank component away from the base pair, verified to
+    make ``g H g^-1 n K`` nontrivial."""
+    g = multiply(tree_k.path_word(u), invert(tree_h.path_word(v)))
+    if intersection(conjugate(h, g), k).is_trivial():
+        raise AssertionError("witness must realize a nontrivial conjugate intersection")
+    return g
+
+
 def component_analysis(h: SubgroupGraph, k: SubgroupGraph) -> list[ComponentReport]:
     """Reports for every component of the product of the two graphs.
 
-    The components are streamed in order of least product vertex from
-    one pass over the product.  Witnesses are ``g = tau * sigma^-1``
-    built from geodesic tree paths to the representative pair, kept
-    short on purpose, and each is verified by intersecting the
-    conjugate before it is reported.
+    The components are walked over the step maps of both graphs, in
+    order of least product vertex, without building the product.
+    Witnesses are ``g = tau * sigma^-1`` built from geodesic tree paths
+    to the representative pair, kept short on purpose, and each is
+    verified by intersecting the conjugate before it is reported.
     """
-    return list(_reports(h, k))
-
-
-def _reports(h: SubgroupGraph, k: SubgroupGraph) -> Iterator[ComponentReport]:
-    """The reports of ``component_analysis``, one component at a time,
-    so that a caller can stop at the first one it needs."""
     if h.alphabet != k.alphabet:
         raise AlphabetMismatchError("subgroups use different alphabets")
-    prod = product(h.graph, k.graph, base_pair=(h.base, k.base))
-    base_id = prod.pair_index()[(h.base, k.base)]
-    tree_h = spanning_tree(h, geodesic=True)
-    tree_k = spanning_tree(k, geodesic=True)
     # A component with edges away from the base pair is exactly the
     # obstruction to <g H g^-1, K> being a free product: its loops are
     # nontrivial elements of a conjugate intersection.  Conversely a g
     # whose conjugate meets K nontrivially always lights up such a
     # component, so no separate free-product criterion is exposed.
-    for comp in _components(prod.graph):
-        has_base = base_id in comp.vertices
-        v, u = prod.pairs[comp.vertices[0]]
-        comp_rank = len(comp.graph.edges) - comp.graph.vertex_count + 1
+    # positive steps only: each component edge is read once, at its origin
+    h_out = [tuple((c, w) for c, w in m.items() if not c & 1) for m in h.graph.step_maps()]
+    k_steps, nk = k.graph.step_maps(), k.vertex_count
+    trees: Optional[tuple[SpanningTree, SpanningTree]] = None
+    reports = []
+    for pairs, edge_count, has_base in _product_components(
+        h.graph, k.graph, (h.base, k.base)
+    ):
+        comp_rank = edge_count - len(pairs) + 1
+        v, u = divmod(pairs[0], nk)
         witness = None
         if not has_base and comp_rank > 0:
-            sigma = tree_h.path_word(v)
-            tau = tree_k.path_word(u)
-            witness = multiply(tau, invert(sigma))
-            if intersection(conjugate(h, witness), k).is_trivial():
-                raise AssertionError("witness must realize a nontrivial conjugate intersection")
-        yield ComponentReport(comp.graph, has_base, (v, u), comp_rank, witness)
+            if trees is None:
+                trees = spanning_tree(h, geodesic=True), spanning_tree(k, geodesic=True)
+            witness = _witness(h, k, *trees, v, u)
+        # the component's graph, renumbered along its sorted pair ids
+        pairs.sort()
+        renum = {p: i for i, p in enumerate(pairs)}
+        edges = []
+        for i, p in enumerate(pairs):
+            x, y = divmod(p, nk)
+            at = k_steps[y]
+            for code, x2 in h_out[x]:
+                y2 = at.get(code)
+                if y2 is not None:
+                    edges.append((i, code >> 1, renum[x2 * nk + y2]))
+        graph = XDigraph(h.alphabet, len(pairs), edges)
+        reports.append(ComponentReport(graph, has_base, (v, u), comp_rank, witness))
+    return reports
 
 
 def is_malnormal(h: SubgroupGraph) -> tuple[bool, Optional[Word]]:
     """Tree criterion: malnormal iff every component of the self-product
     away from the base pair is a tree (rank 0).
 
-    The components are streamed and the test stops at the first one of
-    positive rank away from the base pair.  Only the witness returned
-    is built and verified: a g with g not in H and ``g H g^-1 n H``
-    nontrivial.
+    The components are walked and the test stops at the first one of
+    positive rank away from the base pair, reading only its size.  Only
+    the witness returned is built and verified: a g with g not in H and
+    ``g H g^-1 n H`` nontrivial.
     """
-    for report in _reports(h, h):
-        if not report.contains_base_pair and report.rank > 0:
-            g = report.double_coset_witness
-            if g is None or contains(h, g):
+    for pairs, edge_count, has_base in _product_components(h.graph, h.graph, (h.base, h.base)):
+        if not has_base and edge_count - len(pairs) + 1 > 0:
+            tree = spanning_tree(h, geodesic=True)
+            g = _witness(h, h, tree, tree, *divmod(pairs[0], h.vertex_count))
+            if contains(h, g):
                 raise AssertionError("malnormality witness must lie outside H")
             return False, g
     return True, None
@@ -140,15 +228,15 @@ def is_cyclonormal(h: SubgroupGraph) -> bool:
     """True iff every non-base component of the self-product has rank <= 1,
     i.e. all conjugate intersections over nontrivial double cosets are cyclic.
 
-    Reads only ``#E - #V + 1`` of each streamed component, builds no
+    Reads only ``#E - #V + 1`` of each walked component, builds no
     witness, and stops at the first component of rank >= 2 away from
     the base pair.
     """
-    prod = product(h.graph, h.graph, base_pair=(h.base, h.base))
-    base_id = prod.pair_index()[(h.base, h.base)]
     return all(
-        base_id in comp.vertices or len(comp.graph.edges) - len(comp.vertices) + 1 <= 1
-        for comp in _components(prod.graph)
+        has_base or edge_count - len(pairs) + 1 <= 1
+        for pairs, edge_count, has_base in _product_components(
+            h.graph, h.graph, (h.base, h.base)
+        )
     )
 
 

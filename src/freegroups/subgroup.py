@@ -363,9 +363,10 @@ def rewrite_in_basis(g: SubgroupGraph, tree: SpanningTree, w: Word) -> tuple[int
     """
     order = {e: i + 1 for i, e in enumerate(non_tree_edges(g, tree))}
     out: list[int] = []
+    steps = g.graph.step_maps()
     v = g.base
     for code in w.codes:
-        nxt = g.graph.step(v, code)
+        nxt = steps[v].get(code)
         if nxt is None:
             raise NotAMemberError("word does not lie in the subgroup")
         e = _step_edge(v, code, nxt)
@@ -484,17 +485,18 @@ def conjugate(g: SubgroupGraph, w: Word) -> SubgroupGraph:
     if w.alphabet != g.alphabet:
         raise AlphabetMismatchError("conjugator and subgroup use different alphabets")
     codes = w.codes
+    steps = g.graph.step_maps()
     u = g.base
     i = len(codes)
     while i > 0:
-        nxt = g.graph.step(u, codes[i - 1] ^ 1)
+        nxt = steps[u].get(codes[i - 1] ^ 1)
         if nxt is None:
             break
         u = nxt
         i -= 1
     y = codes[:i]  # unread head; attach its inverse as a stem
     if not y:
-        return _canonical_core(g.alphabet, g.graph.step_maps(), u)[0]
+        return _canonical_core(g.alphabet, steps, u)[0]
     edges = list(g.graph.edges)
     n = _spell_path(edges, u, [c ^ 1 for c in reversed(y)], g.graph.vertex_count)
     stemmed = XDigraph(g.alphabet, n, edges)
@@ -600,10 +602,11 @@ def hall_completion(h: SubgroupGraph, g: Word) -> HallCompletion:
     if contains(h, g):
         raise InvalidInputError("Hall completion needs an element outside H")
     graph = h.graph
+    steps = graph.step_maps()
     v = h.base
     i = 0
     while i < len(g.codes):
-        nxt = graph.step(v, g.codes[i])
+        nxt = steps[v].get(g.codes[i])
         if nxt is None:
             break
         v = nxt

@@ -28,7 +28,7 @@ class Alphabet:
     alphabet is allowed and yields the trivial free group.
     """
 
-    __slots__ = ("symbols", "_index")
+    __slots__ = ("symbols", "_index", "_letters", "_names")
 
     def __init__(self, symbols: Iterable[str]):
         syms = tuple(str(s) for s in symbols)
@@ -39,6 +39,17 @@ class Alphabet:
                 raise InvalidInputError("alphabet symbols must be nonempty strings")
         self.symbols = syms
         self._index = {s: i for i, s in enumerate(syms)}
+        # The one-letter convention, when every symbol is a cased letter:
+        # each symbol and its exact uppercase map to their signed codes.
+        # Insertion follows code order, so the keys read back by code.
+        self._letters: Optional[dict[str, int]] = None
+        self._names: tuple[str, ...] = ()
+        if all(map(_is_cased_letter, syms)):
+            self._letters = {}
+            for i, s in enumerate(syms):
+                self._letters[s] = 2 * i
+                self._letters[s.upper()] = 2 * i + 1
+            self._names = tuple(self._letters)
 
     @classmethod
     def from_string(cls, text: str) -> "Alphabet":
@@ -72,7 +83,7 @@ class Alphabet:
         return sym if code & 1 == 0 else sym + "^-1"
 
     def single_letter(self) -> bool:
-        return all(map(_is_cased_letter, self.symbols))
+        return self._letters is not None
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Alphabet) and self.symbols == other.symbols
@@ -228,22 +239,24 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
 def parse_word(text: str, alphabet: Alphabet) -> Word:
     """Parse the one-letter textual convention and freely reduce.
 
-    Lowercase is a positive letter, uppercase its inverse; whitespace is
-    ignored.  Unknown characters raise :class:`WordParseError` with the
-    offending position.
+    Lowercase is a positive letter, its exact ``str.upper()`` the
+    inverse; whitespace is ignored.  Any other character, including one
+    that merely lowercases to a letter, raises :class:`WordParseError`
+    with the offending position.
     """
-    if not alphabet.single_letter():
+    letters = alphabet._letters
+    if letters is None:
         raise InvalidInputError(
             "textual parsing needs an alphabet of single lowercase letters"
         )
     raw: list[int] = []
     for pos, ch in enumerate(text):
-        if ch.isspace():
-            continue
-        low = ch.lower()
-        if low not in alphabet._index:
+        code = letters.get(ch)
+        if code is None:
+            if ch.isspace():
+                continue
             raise WordParseError(f"unknown character {ch!r}", pos)
-        raw.append(alphabet.code(low, 1 if ch == low else -1))
+        raw.append(code)
     return free_reduce(alphabet, raw)
 
 
@@ -277,8 +290,5 @@ def format_word(w: Word) -> str:
     """Inverse of :func:`parse_word`; the identity prints as ``""``."""
     if not w.alphabet.single_letter():
         return "*".join(w.alphabet.code_name(c) for c in w.codes)
-    out = []
-    for c in w.codes:
-        sym = w.alphabet.symbols[c >> 1]
-        out.append(sym if c & 1 == 0 else sym.upper())
-    return "".join(out)
+    names = w.alphabet._names
+    return "".join([names[c] for c in w.codes])

@@ -196,6 +196,16 @@ def test_resource_limit_exit_3(capsys):
     assert code == 3 and "limit" in err
 
 
+def test_consecutive_calls_share_no_parser_state(capsys):
+    # one parser serves every call; --sub lists must not carry over
+    code, out, _ = run(capsys, "--alphabet", "ab", "intersect", "--sub", "aa,b", "--sub", "a")
+    assert (code, out) == (0, run(capsys, "--alphabet", "ab", "graph", "--sub", "aa")[1])
+    code, out, _ = run(capsys, "--alphabet", "ab", "rank", "--sub", "ab,ba")
+    assert (code, out) == (0, "2\n")
+    code, out, _ = run(capsys, "--alphabet", "ab", "rank", "--sub", "b")
+    assert (code, out) == (0, "1\n")
+
+
 def test_argparse_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["--alphabet", "ab", "not-a-verb"])

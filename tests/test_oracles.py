@@ -1,8 +1,9 @@
 """The step-map walks and the Whitehead descent against independent oracles.
 
-The base-component intersection, the streamed component reports and the
-fused fold -> core -> canonical builds must give exactly what the full
-product graph and the unfused builds give.  The star-split sizes of
+The base-component intersection, the component walk behind the reports
+and the malnormal and cyclonormal tests, and the fused fold -> core ->
+canonical builds must give exactly what the full product graph and the
+unfused builds give.  The star-split sizes of
 Whitehead moves must match the built images, and the descent on cyclic
 cores must decide free factors as the descent on based graphs does.
 """
@@ -138,6 +139,76 @@ def test_malnormal_and_cyclonormal_match_full_product(h):
     assert is_malnormal(h) == expected
     assert is_cyclonormal(h) == all(r.contains_base_pair or r.rank <= 1 for r in reports)
 
+
+
+def test_component_analysis_on_factors_of_different_sizes():
+    # pair ids are v * #V_K + u: unequal vertex counts, in both orders
+    rng = Random(11)
+    checked = 0
+    while checked < 12:
+        h = _subgroup(rng, AB, 14)
+        k = _subgroup(rng, AB, 9)
+        if h.vertex_count == k.vertex_count:
+            continue
+        assert component_analysis(h, k) == component_analysis_by_full_product(h, k)
+        assert component_analysis(k, h) == component_analysis_by_full_product(k, h)
+        checked += 1
+
+
+def test_isolated_base_pair_is_a_one_vertex_component():
+    a, b = (stallings_graph(AB, [parse_word(w, AB)]) for w in ("a", "b"))
+    [report] = component_analysis(a, b)
+    assert report == component_analysis_by_full_product(a, b)[0]
+    assert report.contains_base_pair and report.representative_vertex == (0, 0)
+    assert (report.component.vertex_count, report.component.edges) == (1, ())
+    assert (report.rank, report.double_coset_witness) == (0, None)
+    # an isolated base pair beside components that carry edges
+    h = stallings_graph(AB, [parse_word("aa", AB)])
+    k = stallings_graph(AB, [parse_word("baB", AB)])
+    reports = component_analysis(h, k)
+    assert reports == component_analysis_by_full_product(h, k)
+    assert reports[0].contains_base_pair and reports[0].component.vertex_count == 1
+    assert [r.rank for r in reports[1:]] == [1]
+
+
+def _self_product_sized(rng: Random, planted: list[str], length: int):
+    """An F2 subgroup on 30-55 vertices: the planted words and three
+    reduced random words of ``length`` letters (about ``3 * length - 6``
+    vertices without planted words)."""
+    while True:
+        gens = [parse_word(w, AB) for w in planted]
+        for _ in range(3):
+            codes = [rng.randrange(4)]
+            while len(codes) < length:
+                code = rng.randrange(4)
+                if code != codes[-1] ^ 1:
+                    codes.append(code)
+            gens.append(Word(AB, codes))
+        h = stallings_graph(AB, gens)
+        if 30 <= h.vertex_count <= 55:
+            return h
+
+
+def test_self_product_walks_at_benchmark_sizes():
+    # plain, holding a square w^2, and holding <u, v> with its conjugate
+    # by g, so that malnormal, non-malnormal and non-cyclonormal all occur
+    plantings = ([], ["abab"], [], ["aBBaBB"], ["aab", "abb", "babaabBAB", "bababbBAB"])
+    rng = Random(7)
+    answers, sizes = set(), []
+    for length in (12, 16, 19):
+        for planted in plantings:
+            h = _self_product_sized(rng, planted, length)
+            sizes.append(h.vertex_count)
+            reports = component_analysis_by_full_product(h, h)
+            assert component_analysis(h, h) == reports
+            bad = [r for r in reports if not r.contains_base_pair and r.rank > 0]
+            expected = (True, None) if not bad else (False, bad[0].double_coset_witness)
+            assert is_malnormal(h) == expected
+            cyclonormal = all(r.contains_base_pair or r.rank <= 1 for r in reports)
+            assert is_cyclonormal(h) == cyclonormal
+            answers.add((expected[0], cyclonormal))
+    assert answers == {(True, True), (False, True), (False, False)}
+    assert max(sizes) >= 48
 
 @st.composite
 def _multigraphs(draw):

@@ -119,6 +119,20 @@ def test_parse_error_position():
     assert err.value.position == 2
 
 
+def test_parse_accepts_a_letter_and_its_exact_uppercase_only(capsys):
+    # KELVIN SIGN lowercases to "k" but is not "k".upper()
+    from freegroups.cli import main
+
+    k = Alphabet("k")
+    assert parse_word("K", k).codes == (1,)
+    assert parse_word(" k K k", k).codes == (0,)
+    with pytest.raises(WordParseError) as err:
+        parse_word("\u212a", k)
+    assert err.value.position == 0
+    assert main(["--alphabet", "k", "reduce", "--word", "\u212a"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_alphabet_mismatch():
     with pytest.raises(AlphabetMismatchError):
         multiply(P("a"), parse_word("a", ABC))
