@@ -3,16 +3,18 @@
 Every overgroup H >= K that is "algebraic" (admits no decomposition
 ``K' * C`` with ``K <= K'`` and ``C`` nontrivial) appears among the
 principal quotients of the graph of K, so the finitely many quotients
-enumerate all algebraic extensions.  The quotients are reached by
-single vertex identifications, each followed by folding, and these
-steps form a directed acyclic graph on them.  A step raises the rank
-by at most one.  When it raises it by exactly one, the target is
-generated by a basis of the source plus one element, so the source is
-a free factor of the target.  For quotients S <= Q the graph of S maps
-onto the graph of Q, and S is a free factor of Q exactly when
-rk Q - rk S steps lead from S to Q (Puder, Israel J. Math. 201, 2014),
-that is, when a chain of steps that each raise the rank by one does.
-Free factors among quotients are read off the step graph this way, with
+enumerate all algebraic extensions.  A quotient is fixed by its
+kernel, the partition of the vertices of K that the unique based map
+onto it induces, and S <= Q exactly when the kernel of S refines that
+of Q.  Each quotient is reached from a finer one by a step that
+identifies two classes and folds; the steps form a directed acyclic
+graph on the quotients, and a step raises the rank by at most one.
+When it raises it by exactly one, the target is generated by a basis
+of the source plus one element, so the source is a free factor of the
+target.  For S <= Q, S is a free factor of Q exactly when rk Q - rk S
+steps lead from S to Q (Puder, Israel J. Math. 201, 2014), that is,
+when a chain of steps that each raise the rank by one does.  Free
+factors among quotients are read off the step graph this way, with
 no Whitehead search.  That classifies any extension and yields the
 algebraic closure; with the malnormality test and the exact isolation
 test, which searches the transition monoid of the graph, it yields
@@ -23,10 +25,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
+from itertools import combinations
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import InvalidInputError, ResourceLimitError
-from .graph import Morphism, Subgraph, XDigraph, canonical_morphism, fold_all
+from .graph import Morphism, Subgraph, _find, _fold_merges, canonical_morphism
 from .intersect import is_malnormal
 from .subgroup import (
     SubgroupGraph,
@@ -62,73 +65,74 @@ def principal_quotients(
 ) -> list[PrincipalQuotient]:
     """All based epimorphic images of the graph of K, up to isomorphism.
 
-    Enumerated by breadth-first search over single vertex-pair
-    identifications followed by complete folding; every epimorphism
-    onto a folded graph factors through such steps, and images of core
-    graphs stay core, so this generates exactly the quotient set while
-    pruning isomorphic duplicates early.  Every step taken is recorded
-    in ``step_sources``.  Includes the graph of K itself.  Ordered by
-    decreasing vertex count, then canonical form.
+    K's graph is connected and every image folded, so the based map
+    onto an image is unique and the image is fixed by its kernel, a
+    tuple giving each vertex of K the least vertex of its class.  Every
+    epimorphism onto a folded graph factors through steps that identify
+    two classes and fold, so kernels are enumerated from K's by such
+    steps, each closed by the merge loop of ``fold_all`` over the class
+    step maps.  Images of core graphs stay core.  Each graph is built
+    once, at the end; every step is recorded in ``step_sources``.
+    Includes the graph of K itself.  Ordered by decreasing vertex count,
+    then canonical form.
     """
     if k.vertex_count > max_vertices:
         raise ResourceLimitError(
             f"quotient enumeration is limited to {max_vertices} vertices "
             f"(got {k.vertex_count}); pass max_vertices to override"
         )
-    identity = Morphism(tuple(range(k.vertex_count)))
-    found: dict[tuple, PrincipalQuotient] = {
-        k.canonical_key(): PrincipalQuotient(k, identity)
-    }
-    sources: dict[tuple, set[tuple]] = {k.canonical_key(): set()}
-    frontier = [found[k.canonical_key()]]
-    while frontier:
-        pq = frontier.pop()
-        source = pq.graph.canonical_key()
-        g = pq.graph.graph
-        for u in range(g.vertex_count):
-            for v in range(u + 1, g.vertex_count):
-                quotient = _identify_and_fold(pq.graph, u, v, pq.quotient_map)
-                key = quotient.graph.canonical_key()
-                if key not in found:
-                    found[key] = quotient
-                    sources[key] = set()
-                    frontier.append(quotient)
-                sources[key].add(source)
-    return sorted(
-        (replace(pq, step_sources=frozenset(sources[key])) for key, pq in found.items()),
-        key=lambda pq: (-pq.graph.vertex_count, pq.graph.canonical_key()),
+    k_steps = k.graph.step_maps()
+    identity = tuple(range(k.vertex_count))
+    sources: dict[tuple[int, ...], set[tuple[int, ...]]] = {identity: set()}
+    stack = [identity]
+    while stack:
+        kernel = stack.pop()
+        steps = _class_steps(k_steps, kernel)
+        for a, b in combinations(sorted(set(kernel)), 2):
+            work = [dict(m) for m in steps]  # the merge loop moves maps into one another
+            parent = list(identity)
+            _fold_merges(work, parent, [(a, b)])
+            merged = _kernel([_find(parent, c) for c in kernel])
+            if merged not in sources:
+                sources[merged] = set()
+                stack.append(merged)
+            sources[merged].add(kernel)
+    found: dict[tuple[int, ...], PrincipalQuotient] = {}
+    for kernel in sources:
+        graph, pos = _canonical_core(k.alphabet, _class_steps(k_steps, kernel), kernel[k.base])
+        if graph.vertex_count != len(set(kernel)):
+            raise AssertionError("a quotient of a core graph must be core")
+        found[kernel] = PrincipalQuotient(graph, Morphism(tuple(pos[c] for c in kernel)))
+    quotients = [
+        replace(pq, step_sources=frozenset(found[s].graph.canonical_key() for s in srcs))
+        for pq, srcs in zip(found.values(), sources.values())
+    ]
+    return sorted(quotients, key=lambda pq: (-pq.graph.vertex_count, pq.graph.canonical_key()))
+
+
+def _kernel(vertex_map: Sequence[int]) -> tuple[int, ...]:
+    """The partition a vertex map induces on its domain: each vertex
+    goes to the least vertex with the same image."""
+    least: dict[int, int] = {}
+    return tuple(least.setdefault(w, v) for v, w in enumerate(vertex_map))
+
+
+def _class_steps(steps: list[dict[int, int]], kernel: tuple[int, ...]) -> list[dict[int, int]]:
+    """Step maps of the quotient with this kernel, one per vertex of K:
+    the map of a class sits at its least vertex, the others are empty."""
+    out: list[dict[int, int]] = [{} for _ in kernel]
+    for v, m in enumerate(steps):
+        out[kernel[v]].update((code, kernel[w]) for code, w in m.items())
+    return out
+
+
+def _refines(finer: Morphism, coarser: Morphism) -> bool:
+    """True iff every class of ``finer`` lies in a class of ``coarser``;
+    for the quotient maps of S and Q, iff S <= Q."""
+    image: dict[int, int] = {}
+    return all(
+        image.setdefault(s, q) == q for s, q in zip(finer.vertex_map, coarser.vertex_map)
     )
-
-
-def _identify_and_fold(
-    sub: SubgroupGraph, u: int, v: int, prior: Morphism
-) -> PrincipalQuotient:
-    """Identify vertices u and v, fold to completion, recanonicalize.
-
-    The canonical numbering comes from one walk over the step maps that
-    ``fold_all`` built, and its vertex map is composed into the
-    epimorphism.  A quotient of a core graph is core, so the walk must
-    keep every vertex.
-    """
-    g = sub.graph
-
-    def squash(w: int) -> int:
-        if w == v:
-            return u
-        return w - 1 if w > v else w
-
-    merged = XDigraph(
-        g.alphabet, g.vertex_count - 1, [(squash(o), x, squash(t)) for o, x, t in g.edges]
-    )
-    folded, fmap = fold_all(merged)
-    base = fmap[squash(sub.base)]
-    quotient, renumber = _canonical_core(g.alphabet, folded.step_maps(), base)
-    if quotient.vertex_count != folded.vertex_count:
-        raise AssertionError("a quotient of a core graph must be core")
-    vertex_map = tuple(
-        renumber[fmap[squash(prior(w))]] for w in range(len(prior.vertex_map))
-    )
-    return PrincipalQuotient(quotient, Morphism(vertex_map))
 
 
 def _free_factor_keys(
@@ -196,20 +200,22 @@ def is_algebraic_extension(
     The extension is free iff some principal quotient Q of the graph of
     K lands in H as a proper free factor, so Q has smaller rank than H.
     The image D of the graph of K in the graph of H is itself a
-    quotient, its subgroup is a free factor of H, and Q <= H exactly
-    when Q maps onto D.  So Q is a free factor of H iff it is a free
-    factor of D, which the step graph of the quotients decides.
+    quotient, the one whose kernel the map K -> H induces; its subgroup
+    is a free factor of H, and Q <= H exactly when Q maps onto D.  So Q
+    is a free factor of H iff it is a free factor of D, which the step
+    graph of the quotients decides.
     Candidates are tried in quotient order and the first free factor is
     returned.  ``plateau_budget`` is accepted for compatibility and has
     no effect.
     """
-    if canonical_morphism(k.based, h.based) is None:
+    morphism = canonical_morphism(k.based, h.based)
+    if morphism is None:
         raise InvalidInputError("is_algebraic_extension needs K to be a subgroup of H")
     quotients = principal_quotients(k, max_vertices)
     by_key = {pq.graph.canonical_key(): pq for pq in quotients}
-    image = relative_image(k, h)
-    delta = SubgroupGraph(image.as_xdigraph(h.graph), image.vertices.index(h.base))
-    factors = _free_factor_keys(by_key[delta.canonical_key()], by_key)
+    image = _kernel(morphism.vertex_map)
+    delta = next(pq for pq in quotients if _kernel(pq.quotient_map.vertex_map) == image)
+    factors = _free_factor_keys(delta, by_key)
     rh = rank(h)
     for pq in quotients:
         if rank(pq.graph) < rh and pq.graph.canonical_key() in factors:
@@ -230,12 +236,15 @@ def algebraic_extensions(
     such steps), so H is algebraic over K iff no step into it does.
     ``plateau_budget`` is accepted for compatibility and has no effect.
     """
+    return [pq.graph for pq in _algebraic_quotients(k, max_vertices)]
+
+
+def _algebraic_quotients(k: SubgroupGraph, max_vertices: int) -> list[PrincipalQuotient]:
+    """The principal quotients that are algebraic extensions of K."""
     quotients = principal_quotients(k, max_vertices)
     ranks = {pq.graph.canonical_key(): rank(pq.graph) for pq in quotients}
     return [
-        pq.graph
-        for pq in quotients
-        if all(ranks[s] != rank(pq.graph) - 1 for s in pq.step_sources)
+        pq for pq in quotients if all(ranks[s] != rank(pq.graph) - 1 for s in pq.step_sources)
     ]
 
 
@@ -247,10 +256,10 @@ def algebraic_closure(
     """The largest algebraic extension of K; well defined because the
     join of two algebraic extensions is again algebraic.
     ``plateau_budget`` has no effect."""
-    exts = algebraic_extensions(k, max_vertices)
+    exts = _algebraic_quotients(k, max_vertices)
     for h in exts:
-        if all(canonical_morphism(e.based, h.based) is not None for e in exts):
-            return h
+        if all(_refines(e.quotient_map, h.quotient_map) for e in exts):
+            return h.graph
     raise AssertionError("algebraic extensions must contain a maximum")
 
 
@@ -380,22 +389,13 @@ def _isolation_witness(
     return IsolationResult(False, (f, m), True)
 
 
-def _closure_among(
-    k: SubgroupGraph,
-    candidates: list[SubgroupGraph],
-    kind: str,
-) -> SubgroupGraph:
-    """Unique minimal member of a nonempty extension subset."""
+def _closure_among(candidates: list[PrincipalQuotient], kind: str) -> SubgroupGraph:
+    """Unique minimal member of a nonempty set of quotients."""
     for m in candidates:
-        if all(canonical_morphism(m.based, e.based) is not None for e in candidates):
-            below = [
-                e
-                for e in candidates
-                if e != m and canonical_morphism(e.based, m.based) is not None
-            ]
-            if below:
+        if all(_refines(m.quotient_map, e.quotient_map) for e in candidates):
+            if any(e != m and _refines(e.quotient_map, m.quotient_map) for e in candidates):
                 raise AssertionError(f"{kind} closure must be unique")
-            return m
+            return m.graph
     raise AssertionError(f"{kind} extensions must contain a minimum")
 
 
@@ -409,9 +409,9 @@ def malnormal_closure(
     exceeds the rank of K.  ``plateau_budget`` has no effect."""
     if k.is_trivial():
         raise InvalidInputError("malnormal closure is defined for nontrivial subgroups")
-    exts = algebraic_extensions(k, max_vertices)
-    mal = [e for e in exts if is_malnormal(e)[0]]
-    result = _closure_among(k, mal, "malnormal")
+    exts = _algebraic_quotients(k, max_vertices)
+    mal = [e for e in exts if is_malnormal(e.graph)[0]]
+    result = _closure_among(mal, "malnormal")
     if rank(result) > rank(k):
         raise AssertionError("a closure never has larger rank than K")
     return result
@@ -433,14 +433,14 @@ def isolator(
     """
     if k.is_trivial():
         raise InvalidInputError("isolator is defined for nontrivial subgroups")
-    exts = algebraic_extensions(k, max_vertices)
+    exts = _algebraic_quotients(k, max_vertices)
     iso = [
         e
         for e in exts
-        if is_malnormal(e)[0]
-        or is_isolated(e, depth_override, state_limit).isolated
+        if is_malnormal(e.graph)[0]
+        or is_isolated(e.graph, depth_override, state_limit).isolated
     ]
-    result = _closure_among(k, iso, "isolated")
+    result = _closure_among(iso, "isolated")
     if rank(result) > rank(k):
         raise AssertionError("a closure never has larger rank than K")
     return result

@@ -75,15 +75,6 @@ class XDigraph:
             deg[t] += 1
         return deg
 
-    def incident(self) -> list[list[Edge]]:
-        """Edges incident to each vertex (a loop appears once)."""
-        inc: list[list[Edge]] = [[] for _ in range(self.vertex_count)]
-        for e in self.edges:
-            inc[e[0]].append(e)
-            if e[2] != e[0]:
-                inc[e[2]].append(e)
-        return inc
-
     # -- folded-graph traversal ------------------------------------------
 
     def step_maps(self) -> list[dict[int, int]]:
@@ -174,36 +165,60 @@ class FoldResult(NamedTuple):
     vertex_map: tuple[int, ...]  # old vertex -> new vertex
 
 
+def _find(parent: list[int], v: int) -> int:
+    """Root of ``v`` in the union-find forest ``parent``; compresses the path."""
+    root = v
+    while parent[root] != root:
+        root = parent[root]
+    while parent[v] != root:
+        parent[v], v = root, parent[v]
+    return root
+
+
+def _fold_merges(
+    steps: list[dict[int, int]], parent: list[int], merges: list[tuple[int, int]]
+) -> None:
+    """Merge the queued vertex pairs, and every pair they force, into the
+    union-find forest ``parent``: the finest partition holding them whose
+    quotient is folded.  ``steps[r]`` is the step map of each root ``r``,
+    naming any vertex of a block; a merge moves the smaller map into the
+    larger, and a code held at both with two neighbours queues their merge."""
+    while merges:
+        a, b = merges.pop()
+        a, b = _find(parent, a), _find(parent, b)
+        if a == b:
+            continue
+        if len(steps[a]) < len(steps[b]):
+            a, b = b, a
+        parent[b] = a
+        into = steps[a]
+        for code, far in steps[b].items():
+            held = into.setdefault(code, far)
+            if held != far:
+                merges.append((held, far))
+
+
 def fold_all(g: XDigraph, rng: Optional[Random] = None) -> FoldResult:
     """Perform elementary foldings until the graph is folded.
 
     Every vertex keeps a step map (signed code -> neighbour), and a
     union-find partition records which vertices have been identified.
     Each edge inserts its two half-edges; a half-edge whose code is
-    already taken at its vertex queues a merge of the two far ends.  A
-    merge moves the smaller step map into the larger.  A step map holds
-    at most ``2 * #X`` codes and there are fewer than ``#V`` merges, so
-    the work is near-linear in the size of the graph.  The folded edges
-    are read off the roots' positive codes.  The result is the finest
-    folded quotient, so it does not depend on the order of the merges;
-    passing ``rng`` shuffles the order in which edges are inserted, and
-    with it the merge order.  The language at any tracked vertex is
-    preserved (its image is reported in ``vertex_map``); the blocks of
-    the partition are numbered in the order of their least vertex.  The
+    already taken at its vertex queues a merge of the two far ends,
+    which ``_fold_merges`` performs.  A step map holds at most ``2 * #X``
+    codes and there are fewer than ``#V`` merges, so the work is
+    near-linear in the size of the graph.  The folded edges are read off
+    the roots' positive codes.  The result is the finest folded
+    quotient, so it does not depend on the order of the merges; passing
+    ``rng`` shuffles the order in which edges are inserted, and with it
+    the merge order.  The language at any tracked vertex is preserved
+    (its image is reported in ``vertex_map``); the blocks of the
+    partition are numbered in the order of their least vertex.  The
     final check builds the step maps of the folded graph, which stay
     cached on it for the caller.
     """
     n = g.vertex_count
     parent = list(range(n))
-
-    def find(v: int) -> int:
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
     steps: list[dict[int, int]] = [{} for _ in range(n)]
     merges: list[tuple[int, int]] = []
 
@@ -218,21 +233,12 @@ def fold_all(g: XDigraph, rng: Optional[Random] = None) -> FoldResult:
     for o, x, t in edges:
         attach(o, 2 * x, t)
         attach(t, 2 * x + 1, o)
-    while merges:
-        a, b = merges.pop()
-        a, b = find(a), find(b)
-        if a == b:
-            continue
-        if len(steps[a]) < len(steps[b]):
-            a, b = b, a
-        parent[b] = a
-        for code, far in steps[b].items():
-            attach(a, code, far)
+    _fold_merges(steps, parent, merges)
 
     renum: dict[int, int] = {}
-    vmap = tuple(renum.setdefault(find(v), len(renum)) for v in range(n))
+    vmap = tuple(renum.setdefault(_find(parent, v), len(renum)) for v in range(n))
     new_edges = [
-        (i, code >> 1, renum[find(far)])
+        (i, code >> 1, renum[_find(parent, far)])
         for root, i in renum.items()
         for code, far in steps[root].items()
         if code & 1 == 0
@@ -245,6 +251,17 @@ def fold_all(g: XDigraph, rng: Optional[Random] = None) -> FoldResult:
             "fold_all left two equally labelled half-edges at a vertex"
         ) from None
     return FoldResult(folded, vmap)
+
+
+def _star_masks(steps: list[dict[int, int]]) -> list[int]:
+    """Per vertex, the set of signed codes leaving it, as a bitmask."""
+    masks = []
+    for m in steps:
+        mask = 0
+        for code in m:
+            mask |= 1 << code
+        masks.append(mask)
+    return masks
 
 
 # ---------------------------------------------------------------------------

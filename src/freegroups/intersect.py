@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .errors import AlphabetMismatchError, InvalidInputError
-from .graph import XDigraph
+from .graph import XDigraph, _star_masks
 from .subgroup import (
     SpanningTree,
     SubgroupGraph,
@@ -79,17 +79,6 @@ class ComponentReport:
     representative_vertex: tuple[int, int]
     rank: int
     double_coset_witness: Optional[Word]
-
-
-def _star_masks(steps: list[dict[int, int]]) -> list[int]:
-    """Per vertex, the set of signed codes leaving it, as a bitmask."""
-    masks = []
-    for m in steps:
-        mask = 0
-        for code in m:
-            mask |= 1 << code
-        masks.append(mask)
-    return masks
 
 
 def _product_components(

@@ -384,6 +384,8 @@ def expand_in_basis(elements: Sequence[Word], indices: Iterable[int]) -> Word:
         raise InvalidInputError("cannot expand over an empty basis")
     acc = identity(elements[0].alphabet)
     for i in indices:
+        if not 0 < abs(i) <= len(elements):
+            raise InvalidInputError(f"basis index {i} out of range")
         acc = multiply(acc, elements[i - 1] if i > 0 else invert(elements[-i - 1]))
     return acc
 

@@ -41,7 +41,7 @@ from itertools import permutations
 from typing import Optional
 
 from .errors import InvalidInputError
-from .graph import canonical_morphism, type_with_anchor
+from .graph import _star_masks, canonical_morphism, type_with_anchor
 from .subgroup import (
     SubgroupGraph,
     _canonical_core,
@@ -194,7 +194,7 @@ def _minimal_cyclic_core(k: SubgroupGraph) -> SubgroupGraph:
     cur = _cyclic_core(k)
     moves = _multiplier_moves(k.alphabet)
     while cur.vertex_count > 1:
-        sizes = _move_sizes(cur, _stars(cur))
+        sizes = _move_sizes(cur, _star_masks(cur.graph.step_maps()))
         best = min(range(len(sizes)), key=sizes.__getitem__, default=None)
         if best is None or sizes[best] >= cur.edge_count:
             break
@@ -213,11 +213,6 @@ def _cyclic_core(g: SubgroupGraph) -> SubgroupGraph:
     ended: the graph of a conjugate of the subgroup, core at every vertex."""
     t = type_with_anchor(g.based)
     return _canonical_core(g.alphabet, g.graph.step_maps(), t.host_vertices[t.anchor])[0]
-
-
-def _stars(g: SubgroupGraph) -> list[int]:
-    """The star of each vertex: the signed labels leaving it, as a bitmask."""
-    return [sum(1 << code for code in m) for m in g.graph.step_maps()]
 
 
 @lru_cache(maxsize=64)

@@ -101,10 +101,6 @@ def _is_cased_letter(s: str) -> bool:
     return s.isalpha() and s != s.upper() and len(s.upper()) == 1 and s.upper().lower() == s
 
 
-def inverse_code(code: int) -> int:
-    return code ^ 1
-
-
 class Word:
     """A freely reduced word; the empty word is the identity.
 

@@ -3,18 +3,21 @@
 from __future__ import annotations
 
 from collections import Counter, deque
+from dataclasses import replace
 from functools import lru_cache
 from random import Random
 from typing import Optional, Sequence
 
 from freegroups.errors import InvalidInputError, ResourceLimitError
-from freegroups.extensions import ExtensionVerdict, principal_quotients
+from freegroups.extensions import ExtensionVerdict, PrincipalQuotient, principal_quotients
 from freegroups.graph import (
+    BasedGraph,
     Edge,
     Morphism,
     Subgraph,
     XDigraph,
     _core_numbering,
+    _star_masks,
     canonical_morphism,
     fold_all,
     product,
@@ -33,7 +36,6 @@ from freegroups.whitehead import (
     _cyclic_core,
     _move_sizes,
     _multiplier_moves,
-    _stars,
     is_free_factor,
     transform_subgroup,
 )
@@ -136,6 +138,57 @@ def quotient_keys_by_partitions(k: SubgroupGraph) -> set[tuple]:
         sub = SubgroupGraph(folded, vmap[block_of[k.base]])
         keys.add(sub.canonical_key())
     return keys
+
+
+def principal_quotients_by_refolding(k: SubgroupGraph) -> list[PrincipalQuotient]:
+    """Principal quotients by the per-pair route: for every vertex pair of
+    every quotient found so far, build the identified graph, fold it,
+    number it canonically and compose the maps; quotients are told apart
+    by canonical key.  Same fields and order as ``principal_quotients``."""
+    identity = Morphism(tuple(range(k.vertex_count)))
+    found = {k.canonical_key(): PrincipalQuotient(k, identity)}
+    sources: dict[tuple, set[tuple]] = {k.canonical_key(): set()}
+    frontier = [found[k.canonical_key()]]
+    while frontier:
+        pq = frontier.pop()
+        source = pq.graph.canonical_key()
+        g = pq.graph.graph
+        for u in range(g.vertex_count):
+            for v in range(u + 1, g.vertex_count):
+                quotient = _identify_and_fold(pq.graph, u, v, pq.quotient_map)
+                key = quotient.graph.canonical_key()
+                if key not in found:
+                    found[key] = quotient
+                    sources[key] = set()
+                    frontier.append(quotient)
+                sources[key].add(source)
+    return sorted(
+        (replace(pq, step_sources=frozenset(sources[key])) for key, pq in found.items()),
+        key=lambda pq: (-pq.graph.vertex_count, pq.graph.canonical_key()),
+    )
+
+
+def _identify_and_fold(
+    sub: SubgroupGraph, u: int, v: int, prior: Morphism
+) -> PrincipalQuotient:
+    """Identify vertices u and v, fold, renumber canonically, and compose
+    the renumbering into the map from K."""
+    g = sub.graph
+
+    def squash(w: int) -> int:
+        if w == v:
+            return u
+        return w - 1 if w > v else w
+
+    merged = XDigraph(
+        g.alphabet, g.vertex_count - 1, [(squash(o), x, squash(t)) for o, x, t in g.edges]
+    )
+    folded, fmap = fold_all(merged)
+    base = fmap[squash(sub.base)]
+    quotient = SubgroupGraph(folded, base)
+    renumber = canonical_morphism(BasedGraph(folded, base), quotient.based)
+    vertex_map = tuple(renumber(fmap[squash(prior(w))]) for w in range(len(prior.vertex_map)))
+    return PrincipalQuotient(quotient, Morphism(vertex_map))
 
 
 def exponents_in(h, word: Word, limit: int = 40) -> set[int]:
@@ -459,7 +512,8 @@ def smaller_state_on_plateau(
     frontier = deque([start])
     while frontier:
         g = frontier.popleft()
-        for auto, predicted in zip(moves, _move_sizes(g, _stars(g))):
+        predictions = _move_sizes(g, _star_masks(g.graph.step_maps()))
+        for auto, predicted in zip(moves, predictions):
             if predicted > size:
                 continue
             image = _cyclic_core(transform_subgroup(auto, g))
@@ -483,7 +537,7 @@ def _conjugacy_key(g: SubgroupGraph) -> tuple:
     the base vertices whose star class is the rarest (ties go to the
     smaller mask).  Isomorphisms keep stars, so the choice of bases is
     invariant."""
-    stars = _stars(g)
+    stars = _star_masks(g.graph.step_maps())
     counts = Counter(stars)
     rare = min(counts, key=lambda m: (counts[m], m))
     steps = g.graph.step_maps()

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from freegroups.errors import InvalidInputError, ResourceLimitError
 from freegroups.extensions import (
+    _refines,
     algebraic_closure,
     algebraic_extensions,
     is_algebraic_extension,
@@ -43,6 +44,7 @@ from helpers import (
     algebraic_extension_by_whitehead,
     algebraic_extensions_by_whitehead,
     isolation_by_word_search,
+    principal_quotients_by_refolding,
     quotient_keys_by_partitions,
     rand_subgroup,
     spans,
@@ -299,6 +301,17 @@ def test_algebraic_extensions_agree_with_whitehead(k, data):
     extra = stallings_graph(AB, [P(data.draw(st.text(alphabet="aAbB", min_size=1, max_size=3)))])
     h = join(k, extra)
     assert is_algebraic_extension(k, h) == algebraic_extension_by_whitehead(k, h)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_subgroups(max_vertices=9))
+def test_quotients_match_refolding_route(k):
+    quotients = principal_quotients(k)
+    assert quotients == principal_quotients_by_refolding(k)
+    for s in quotients:
+        for q in quotients:
+            by_walk = canonical_morphism(s.graph.based, q.graph.based) is not None
+            assert _refines(s.quotient_map, q.quotient_map) == by_walk
 
 
 def test_isolation_witness_check_survives_optimize():

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from freegroups.graph import (
     XDigraph,
+    _star_masks,
     connected_components,
     core,
     fold_all,
@@ -34,7 +35,6 @@ from freegroups.whitehead import (
     _minimal_cyclic_core,
     _move_sizes,
     _multiplier_moves,
-    _stars,
     enumerate_whitehead,
     is_free_factor_of_ambient,
     transform_subgroup,
@@ -327,7 +327,7 @@ def test_move_sizes_match_built_images(alphabet, seed):
     # cyclic core (type graph) of the image that transform_subgroup builds
     h = _subgroup(Random(seed), alphabet, max_vertices=8)
     c = _cyclic_core(h)
-    sizes = _move_sizes(c, _stars(c))
+    sizes = _move_sizes(c, _star_masks(c.graph.step_maps()))
     moves = _multiplier_moves(alphabet)
     assert len(sizes) == len(moves)
     for auto, predicted in zip(moves, sizes):

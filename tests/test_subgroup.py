@@ -174,6 +174,9 @@ def test_rewrite_roundtrip_and_membership_error():
         for w in list(product_words(gens, 3))[:30]:
             idx = rewrite_in_basis(g, tree, w)
             assert expand_in_basis(b.elements, idx) == w
+    for indices in ([0], [3], [1, -3]):
+        with pytest.raises(InvalidInputError):
+            expand_in_basis([P("a"), P("b")], indices)
     with pytest.raises(NotAMemberError):
         rewrite_in_basis(
             stallings_graph(AB, [P("aa")]),
