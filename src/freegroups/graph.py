@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .errors import InvalidInputError
+from .errors import AlphabetMismatchError, InvalidInputError
 from .words import Alphabet, Word
 
 Edge = tuple[int, int, int]  # (origin, letter index, terminus), positive only
@@ -46,6 +46,20 @@ class XDigraph:
         self.vertex_count = vertex_count
         self.edges = edges
         self._steps: Optional[list[dict[int, int]]] = None
+
+    @classmethod
+    def _trusted(
+        cls, alphabet: Alphabet, vertex_count: int, edges: tuple[Edge, ...],
+        steps: Optional[list[dict[int, int]]] = None,
+    ) -> "XDigraph":
+        """Wrap edges already sorted, in range and over the alphabet, without
+        the checks of ``__init__``; ``steps``, if given, are their step maps."""
+        g = object.__new__(cls)
+        g.alphabet = alphabet
+        g.vertex_count = vertex_count
+        g.edges = edges
+        g._steps = steps
+        return g
 
     # -- basic structure -------------------------------------------------
 
@@ -273,9 +287,12 @@ class CoreResult(NamedTuple):
     vertex_map: dict[int, int]  # surviving old vertex -> new vertex
 
 
-def _core_numbering(steps: list[dict[int, int]], v: int) -> dict[int, int]:
+def _core_numbering(
+    steps: list[dict[int, int]], v: int
+) -> tuple[dict[int, int], tuple[Edge, ...]]:
     """The core at ``v`` of the folded graph with these step maps,
-    numbered breadth-first from ``v`` in signed-code order (old -> new).
+    numbered breadth-first from ``v`` in signed-code order (old -> new),
+    and its edges, which the walk meets in sorted order.
 
     Vertices other than ``v`` with one half-edge are deleted until none
     is left; the survivors that ``v`` reaches form the core.  Each step
@@ -294,14 +311,17 @@ def _core_numbering(steps: list[dict[int, int]], v: int) -> dict[int, int]:
                     leaves.append(w)
     pos = {v: 0}
     order = [v]
-    for u in order:
+    edges = []
+    for i, u in enumerate(order):
         m = steps[u]
         for code in sorted(m):
             w = m[code]
             if w not in pos and not dead[w]:
                 pos[w] = len(order)
                 order.append(w)
-    return pos
+            if not code & 1 and not dead[w]:
+                edges.append((i, code >> 1, pos[w]))
+    return pos, tuple(edges)
 
 
 def core(g: XDigraph, v: int) -> CoreResult:
@@ -314,7 +334,7 @@ def core(g: XDigraph, v: int) -> CoreResult:
     """
     if not 0 <= v < g.vertex_count:
         raise InvalidInputError(f"vertex {v} out of range")
-    vmap = {u: i for i, u in enumerate(sorted(_core_numbering(g.step_maps(), v)))}
+    vmap = {u: i for i, u in enumerate(sorted(_core_numbering(g.step_maps(), v)[0]))}
     new_edges = [(vmap[o], x, vmap[t]) for o, x, t in g.edges if o in vmap and t in vmap]
     return CoreResult(XDigraph(g.alphabet, len(vmap), new_edges), vmap)
 
@@ -339,10 +359,12 @@ def trace_path(g: XDigraph, start: int, w: Word) -> Optional[int]:
 def transport(a: XDigraph, av: int, b: XDigraph, bv: int) -> Optional[tuple[int, ...]]:
     """Vertex map of the unique morphism ``a -> b`` with ``av -> bv``.
 
-    Both graphs must be folded and ``a`` connected.  Returns ``None``
-    when no morphism exists (some edge of ``a`` fails to transport).
-    The walk runs over the step maps of both graphs.
+    Both graphs must be folded, over one alphabet, and ``a`` connected.
+    Returns ``None`` when no morphism exists (some edge of ``a`` fails
+    to transport).  The walk runs over the step maps of both graphs.
     """
+    if a.alphabet != b.alphabet:
+        raise AlphabetMismatchError("morphisms need graphs over one alphabet")
     a_steps = a.step_maps()
     b_steps = b.step_maps()
     vmap: list[Optional[int]] = [None] * a.vertex_count
@@ -617,6 +639,7 @@ def graph_from_json(text: str) -> BasedGraph:
         raise InvalidInputError("graph record needs an 'alphabet' string or list of strings")
     alph = Alphabet(raw_alph)
     edges = []
+    ends: dict[int, int] = {}  # one int object per vertex, however often it is named
     for rec in raw_edges:
         if not (isinstance(rec, list) and len(rec) == 3):
             raise InvalidInputError(f"malformed edge record: {rec!r}")
@@ -625,7 +648,7 @@ def graph_from_json(text: str) -> BasedGraph:
             raise InvalidInputError(f"edge record {rec!r} needs integer endpoints")
         if not isinstance(sym, str) or sym not in alph._index:
             raise InvalidInputError(f"edge label {sym!r} outside alphabet")
-        edges.append((o, alph._index[sym], t))
+        edges.append((ends.setdefault(o, o), alph._index[sym], ends.setdefault(t, t)))
     return BasedGraph(XDigraph(alph, vertices, edges), base)
 
 

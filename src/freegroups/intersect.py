@@ -163,8 +163,8 @@ def component_analysis(h: SubgroupGraph, k: SubgroupGraph) -> list[ComponentRepo
     # nontrivial elements of a conjugate intersection.  Conversely a g
     # whose conjugate meets K nontrivially always lights up such a
     # component, so no separate free-product criterion is exposed.
-    # positive steps only: each component edge is read once, at its origin
-    h_out = [tuple((c, w) for c, w in m.items() if not c & 1) for m in h.graph.step_maps()]
+    # positive steps, sorted: each edge is read once, at its origin, and in order
+    h_out = [sorted((c, w) for c, w in m.items() if not c & 1) for m in h.graph.step_maps()]
     k_steps, nk = k.graph.step_maps(), k.vertex_count
     trees: Optional[tuple[SpanningTree, SpanningTree]] = None
     reports = []
@@ -189,7 +189,7 @@ def component_analysis(h: SubgroupGraph, k: SubgroupGraph) -> list[ComponentRepo
                 y2 = at.get(code)
                 if y2 is not None:
                     edges.append((i, code >> 1, renum[x2 * nk + y2]))
-        graph = XDigraph(h.alphabet, len(pairs), edges)
+        graph = XDigraph._trusted(h.alphabet, len(pairs), tuple(edges))
         reports.append(ComponentReport(graph, has_base, (v, u), comp_rank, witness))
     return reports
 

@@ -4,10 +4,10 @@
 attached to a finitely generated subgroup H <= F(X).  Vertices are
 renumbered breadth-first from the base with signed-letter tie-breaking,
 so equal subgroups produce identical objects and serialized output is
-reproducible; the base vertex is always 0.  The constructor validates
-any graph it is given; the constructions here cut the core and number
-it in one walk over step maps that were checked once, and wrap the
-result without validating it again.
+reproducible; the base vertex is always 0.  One walk over step maps,
+``graph._core_numbering``, cuts the core, numbers it and emits its
+edges in order.  The constructor runs it after validating its input;
+the constructions here run it on maps checked once, and skip the checks.
 
 Algorithms here cover construction by folding, membership, spanning
 trees and free bases, Schreier rewriting, rank, index and cosets,
@@ -50,7 +50,9 @@ class SubgroupGraph:
 
     Wraps a folded, connected core based graph in canonical numbering.
     Two instances compare equal iff they are based-isomorphic, i.e. iff
-    they describe the same subgroup.
+    they describe the same subgroup.  The constructor checks the graph
+    and numbers it with ``_canonical_core``; input already in canonical
+    numbering keeps its edge tuple and the step maps of the check.
     """
 
     __slots__ = ("graph",)
@@ -58,7 +60,20 @@ class SubgroupGraph:
     base = 0
 
     def __init__(self, graph: XDigraph, base: int):
-        self.graph = _canonicalize(graph, base)
+        if not 0 <= base < graph.vertex_count:
+            raise InvalidInputError(f"base vertex {base} out of range")
+        if graph.vertex_count > len(graph.edges) + 1:  # before a dict per vertex
+            raise InvalidInputError("subgroup graph must be connected")
+        steps = graph.step_maps()  # raises if not folded
+        canon, pos = _canonical_core(graph.alphabet, steps, base)
+        if len(pos) != graph.vertex_count:
+            if not graph.is_connected():
+                raise InvalidInputError("subgroup graph must be connected")
+            raise InvalidInputError("subgroup graph must be a core graph at its base")
+        graph._steps = None  # one copy of the maps lives at a time
+        self.graph = canon.graph
+        if list(pos) == list(range(len(pos))):  # already canonical
+            self.graph = XDigraph._trusted(graph.alphabet, len(pos), graph.edges, steps)
 
     @classmethod
     def _from_canonical(cls, graph: XDigraph) -> "SubgroupGraph":
@@ -100,55 +115,20 @@ class SubgroupGraph:
         return f"SubgroupGraph(V={self.vertex_count}, E={self.edge_count})"
 
 
-def _canonicalize(graph: XDigraph, base: int) -> XDigraph:
-    """Validate folded/connected/core and renumber breadth-first from base.
-
-    The step maps built for the check move to the renumbered graph,
-    their vertices renumbered in place, and leave the input graph's
-    cache, so one copy of them lives at a time.
-    """
-    if not 0 <= base < graph.vertex_count:
-        raise InvalidInputError(f"base vertex {base} out of range")
-    if graph.vertex_count > len(graph.edges) + 1:  # before a dict per vertex
-        raise InvalidInputError("subgroup graph must be connected")
-    steps = graph.step_maps()  # raises if not folded
-    pos = _core_numbering(steps, base)
-    if len(pos) != graph.vertex_count:
-        if not graph.is_connected():
-            raise InvalidInputError("subgroup graph must be connected")
-        raise InvalidInputError("subgroup graph must be a core graph at its base")
-    edges = [(pos[o], x, pos[t]) for o, x, t in graph.edges]
-    out = XDigraph(graph.alphabet, graph.vertex_count, edges)
-    renumbered: list[dict[int, int]] = [{}] * len(steps)
-    for v, m in enumerate(steps):
-        for code, w in m.items():
-            m[code] = pos[w]
-        renumbered[pos[v]] = m
-    graph._steps = None
-    out._steps = renumbered
-    return out
-
-
 def _canonical_core(
     alphabet: Alphabet, steps: list[dict[int, int]], base: int
 ) -> tuple[SubgroupGraph, dict[int, int]]:
     """The canonical graph of the core at ``base`` of a folded graph,
     given by its step maps, with the map from old to new vertices.
 
-    One walk restricts to the component of ``base``, prunes degree-one
-    vertices other than ``base`` and renumbers breadth-first in signed
-    code order, the numbering ``SubgroupGraph`` uses.  The step maps are
-    trusted to come from a folded graph: every caller has checked that
-    once, when the maps were built.
+    ``_core_numbering`` cuts the core and numbers it in one walk, the
+    numbering ``SubgroupGraph`` uses, and meets the edges in sorted
+    order, so they are wrapped as they come.  The step maps are trusted
+    to come from a folded graph: every caller checked that once, when
+    the maps were built.
     """
-    pos = _core_numbering(steps, base)
-    edges = [
-        (i, code >> 1, pos[w])
-        for i, v in enumerate(pos)
-        for code, w in steps[v].items()
-        if not code & 1 and w in pos
-    ]
-    return SubgroupGraph._from_canonical(XDigraph(alphabet, len(pos), edges)), pos
+    pos, edges = _core_numbering(steps, base)
+    return SubgroupGraph._from_canonical(XDigraph._trusted(alphabet, len(pos), edges)), pos
 
 
 def trivial_subgroup(alphabet: Alphabet) -> SubgroupGraph:
@@ -361,6 +341,8 @@ def rewrite_in_basis(g: SubgroupGraph, tree: SpanningTree, w: Word) -> tuple[int
     per non-tree edge crossed.  Substituting the basis elements back and
     freely reducing returns ``w``.
     """
+    if w.alphabet != g.alphabet:
+        raise AlphabetMismatchError("word and subgroup use different alphabets")
     order = {e: i + 1 for i, e in enumerate(non_tree_edges(g, tree))}
     out: list[int] = []
     steps = g.graph.step_maps()
@@ -562,6 +544,8 @@ def power_in(h: SubgroupGraph, g: Word) -> Optional[int]:
     The reduced powers are walked incrementally through the cyclically
     reduced core of ``g``, so no quadratic re-reduction happens.
     """
+    if g.alphabet != h.alphabet:
+        raise AlphabetMismatchError("word and subgroup use different alphabets")
     if not g.codes:
         raise InvalidInputError("power_in needs a nontrivial element")
     conj, d = cyclic_reduce(g)

@@ -69,14 +69,6 @@ class Alphabet:
         """Number of signed letters, ``2 * size``."""
         return 2 * len(self.symbols)
 
-    def code(self, symbol: str, sign: int = 1) -> int:
-        """Signed-letter code of ``symbol`` (sign +1) or its inverse (-1)."""
-        try:
-            i = self._index[symbol]
-        except KeyError:
-            raise InvalidInputError(f"unknown symbol {symbol!r}") from None
-        return 2 * i + (0 if sign > 0 else 1)
-
     def code_name(self, code: int) -> str:
         """Human-readable name of a signed code, e.g. ``a`` or ``a^-1``."""
         sym = self.symbols[code >> 1]

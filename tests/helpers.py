@@ -543,5 +543,5 @@ def _conjugacy_key(g: SubgroupGraph) -> tuple:
     steps = g.graph.step_maps()
     return min(
         tuple(sorted((pos[o], x, pos[t]) for o, x, t in g.graph.edges))
-        for pos in (_core_numbering(steps, v) for v, m in enumerate(stars) if m == rare)
+        for pos in (_core_numbering(steps, v)[0] for v, m in enumerate(stars) if m == rare)
     )

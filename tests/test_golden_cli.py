@@ -26,6 +26,11 @@ AAB_BA_JSON = (
     '{"alphabet": "ab", "vertices": 4, "base": 0, '
     '"edges": [[0, "a", 1], [0, "b", 2], [1, "a", 3], [2, "a", 0], [3, "b", 0]]}'
 )
+# the same graph renumbered away from canonical form, edges out of order
+AAB_BA_RENUMBERED = (
+    '{"alphabet": "ab", "vertices": 4, "base": 2, '
+    '"edges": [[1, "b", 2], [2, "b", 3], [0, "a", 1], [3, "a", 2], [2, "a", 0]]}'
+)
 
 F2_SUBS = [
     "", "a", "b", "aa", "aab,ba", "bbAA", "aa,b,abA", "ab,Ba", "aaa,AbA",
@@ -61,6 +66,12 @@ def _cases() -> list[list[str]]:
             for verb in ("join", "intersect", "components", "hn-check"):
                 cases.append(["--alphabet", alph, verb, "--sub", h, "--sub", k])
             cases.append(["--alphabet", alph, "hn-check", "--sub", h, "--sub", k, "--json"])
+    for s in (AAB_BA_JSON, AAB_BA_RENUMBERED):
+        for verb in (["basis"], ["basis", "--geodesic"], ["index", "--json"], ["dot"]):
+            cases.append(["--alphabet", "ab", verb[0], "--sub", s, *verb[1:]])
+        for word in ("aab", "ab"):
+            cases.append(["--alphabet", "ab", "member", "--sub", s, "--word", word])
+        cases.append(["--alphabet", "ab", "hall", "--sub", s, "--word", "b", "--json"])
     return cases
 
 
@@ -81,7 +92,7 @@ def test_golden_cases_cover_the_verbs():
     verbs = {r["argv"][2] for r in records}
     assert verbs == {
         "graph", "conjugate", "join", "intersect", "components", "malnormal",
-        "cyclonormal", "hn-check", "quotients",
+        "cyclonormal", "hn-check", "quotients", "basis", "index", "dot", "member", "hall",
     }
 
 

@@ -18,6 +18,7 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freegroups.extensions import principal_quotients
 from freegroups.graph import (
     XDigraph,
     _star_masks,
@@ -271,6 +272,26 @@ def test_conjugate_matches_unfused(h, seed):
 def test_join_matches_unfused(pair):
     h, k = pair
     assert join(h, k).graph == join_unfused(h, k).graph
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pairs(max_vertices=12), st.integers(0, 2**32))
+def test_trusted_graphs_are_what_the_public_constructor_builds(pair, seed):
+    # the builds wrap their edges without checking or sorting them, so
+    # each edge tuple must be the sorted, in-range one XDigraph() makes
+    h, k = pair
+    rng = Random(seed)
+    built = [
+        stallings_graph(h.alphabet, basis(h).elements + basis(k).elements).graph,
+        conjugate(h, _readable_conjugator(rng, h)).graph,
+        conjugate(k, rand_word(rng, h.alphabet, 8)).graph,
+        join(h, k).graph,
+        intersection(h, k).graph,
+        *(pq.graph.graph for pq in principal_quotients(_subgroup(rng, h.alphabet, 6))),
+        *(r.component for r in component_analysis(h, k)),
+    ]
+    for g in built:
+        assert g == XDigraph(g.alphabet, g.vertex_count, g.edges)
 
 
 @settings(max_examples=150, deadline=None)

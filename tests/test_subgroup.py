@@ -4,7 +4,8 @@ from random import Random
 
 import pytest
 
-from freegroups.errors import InvalidInputError, NotAMemberError
+from freegroups.errors import AlphabetMismatchError, InvalidInputError, NotAMemberError
+from freegroups.extensions import is_algebraic_extension, relative_image
 from freegroups.graph import (
     based_isomorphism,
     canonical_morphism,
@@ -38,7 +39,8 @@ from freegroups.subgroup import (
     stallings_graph,
     trivial_subgroup,
 )
-from freegroups.words import format_word, invert, multiply, parse_word
+from freegroups.whitehead import is_free_factor
+from freegroups.words import Alphabet, format_word, invert, multiply, parse_word
 
 from helpers import AB, A1, product_words, rand_gens, rand_subgroup, rand_word
 
@@ -488,8 +490,9 @@ def test_subgroup_graph_validation():
 
 
 def test_subgroup_graph_hands_its_checked_step_maps_on():
-    # the maps built to validate a graph are renumbered into the canonical
-    # graph, and the input graph no longer holds them
+    # the input graph no longer holds the maps built to validate it; an
+    # input already in canonical numbering hands them, and its edge tuple,
+    # to the canonical graph, and any other input is renumbered afresh
     from freegroups.graph import XDigraph
 
     rng = Random(91)
@@ -504,6 +507,55 @@ def test_subgroup_graph_hands_its_checked_step_maps_on():
         assert g._steps is None
         fresh = XDigraph(AB, h.vertex_count, loaded.graph.edges)
         assert loaded.graph.step_maps() == fresh.step_maps()
+        canonical = XDigraph(AB, h.vertex_count, h.graph.edges)
+        checked = canonical.step_maps()
+        kept = SubgroupGraph(canonical, 0)
+        assert kept == h
+        assert kept.graph.edges is canonical.edges
+        assert kept.graph._steps is checked
+        assert canonical._steps is None
+
+
+def test_a_loaded_graph_holds_one_int_object_per_vertex():
+    # json.loads makes a new int object for every endpoint past the small
+    # int cache; the loader interns them, and a canonical graph keeps them
+    from freegroups.graph import graph_from_json, graph_to_json
+
+    h = stallings_graph(AB, [P("a" * 300 + "b"), P("ba")])
+    based = graph_from_json(graph_to_json(h.based))
+    ids = {id(v) for o, _, t in based.graph.edges for v in (o, t)}
+    assert len(ids) == h.vertex_count == 302
+    kept = SubgroupGraph(based.graph, based.base)
+    assert kept == h
+    assert kept.graph.edges is based.graph.edges
+
+
+XY = Alphabet.from_string("xy")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k, h: canonical_morphism(k.based, h.based),
+        lambda k, h: is_free_factor(k, h),
+        lambda k, h: relative_index(k, h),
+        lambda k, h: rebase_inside(k, h),
+        lambda k, h: relative_image(k, h),
+        lambda k, h: is_algebraic_extension(k, h),
+        lambda k, h: power_in(stallings_graph(AB, [P("aa")]), parse_word("x", XY)),
+        lambda k, h: rewrite_in_basis(h, spanning_tree(h), parse_word("x", XY)),
+    ],
+    ids=[
+        "canonical_morphism", "is_free_factor", "relative_index", "rebase_inside",
+        "relative_image", "is_algebraic_extension", "power_in", "rewrite_in_basis",
+    ],
+)
+def test_k_in_h_functions_reject_two_alphabets(call):
+    # <xy> over xy and F(a, b) have the same codes, so only the alphabet
+    # check tells them apart
+    k = stallings_graph(XY, [parse_word("xy", XY)])
+    with pytest.raises(AlphabetMismatchError):
+        call(k, full_group(AB))
 
 
 def test_far_more_vertices_than_edges_is_rejected_cheaply():
