@@ -70,9 +70,10 @@ def principal_quotients(
     tuple giving each vertex of K the least vertex of its class.  Every
     epimorphism onto a folded graph factors through steps that identify
     two classes and fold, so kernels are enumerated from K's by such
-    steps, each closed by the merge loop of ``fold_all`` over the class
-    step maps.  Images of core graphs stay core.  Each graph is built
-    once, at the end; every step is recorded in ``step_sources``.
+    steps, each closed by ``graph._fold_merges``, the merge loop of
+    every fold, over the class step maps.  Images of core graphs stay
+    core.  Each graph is built once, at the end; every step is recorded
+    in ``step_sources``.
     Includes the graph of K itself.  Ordered by decreasing vertex count,
     then canonical form.
     """

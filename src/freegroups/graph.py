@@ -212,59 +212,59 @@ def _fold_merges(
                 merges.append((held, far))
 
 
-def fold_all(g: XDigraph, rng: Optional[Random] = None) -> FoldResult:
-    """Perform elementary foldings until the graph is folded.
+def _fold(vertex_count: int, edges: Iterable[Edge]) -> tuple[list[dict[int, int]], list[int]]:
+    """Fold the graph on ``vertex_count`` vertices with these edges.
 
-    Every vertex keeps a step map (signed code -> neighbour), and a
-    union-find partition records which vertices have been identified.
-    Each edge inserts its two half-edges; a half-edge whose code is
-    already taken at its vertex queues a merge of the two far ends,
-    which ``_fold_merges`` performs.  A step map holds at most ``2 * #X``
-    codes and there are fewer than ``#V`` merges, so the work is
-    near-linear in the size of the graph.  The folded edges are read off
-    the roots' positive codes.  The result is the finest folded
-    quotient, so it does not depend on the order of the merges; passing
-    ``rng`` shuffles the order in which edges are inserted, and with it
-    the merge order.  The language at any tracked vertex is preserved
-    (its image is reported in ``vertex_map``); the blocks of the
-    partition are numbered in the order of their least vertex.  The
-    final check builds the step maps of the folded graph, which stay
-    cached on it for the caller.
+    Each edge inserts its two half-edges into per-vertex step maps
+    (signed code -> neighbour); a code already taken at its vertex
+    queues a merge of the two far ends, which ``_fold_merges`` performs
+    in a union-find forest.  A step map holds at most ``2 * #X`` codes
+    and there are fewer than ``#V`` merges, so the work is near-linear.
+    The result, the finest folded quotient, does not depend on the edge
+    order.  Returns its step maps, in place, and each vertex's root: a
+    root's map names roots, every other map is empty.  The check that
+    each half-edge is undone by its inverse code raises, even under -O.
     """
-    n = g.vertex_count
-    parent = list(range(n))
-    steps: list[dict[int, int]] = [{} for _ in range(n)]
+    steps: list[dict[int, int]] = [{} for _ in range(vertex_count)]
+    parent = list(range(vertex_count))
     merges: list[tuple[int, int]] = []
+    for o, x, t in edges:
+        held = steps[o].setdefault(2 * x, t)
+        if held != t:
+            merges.append((held, t))
+        held = steps[t].setdefault(2 * x + 1, o)
+        if held != o:
+            merges.append((held, o))
+    _fold_merges(steps, parent, merges)
+    for v in range(vertex_count):
+        _find(parent, v)  # now parent[v] is the root of v
+    for v, m in enumerate(steps):
+        if parent[v] != v:
+            m.clear()
+        for code, far in m.items():
+            far = m[code] = parent[far]
+            back = steps[far].get(code ^ 1)
+            if back is None or parent[back] != v:
+                raise AssertionError("folding left two equally labelled half-edges at a vertex")
+    return steps, parent
 
-    def attach(v: int, code: int, far: int) -> None:
-        held = steps[v].setdefault(code, far)
-        if held != far:
-            merges.append((held, far))
 
+def fold_all(g: XDigraph, rng: Optional[Random] = None) -> FoldResult:
+    """Perform elementary foldings until the graph is folded (``_fold``);
+    blocks are numbered by least vertex.  ``rng`` shuffles the fold order."""
     edges = list(g.edges)
     if rng is not None:
         rng.shuffle(edges)
-    for o, x, t in edges:
-        attach(o, 2 * x, t)
-        attach(t, 2 * x + 1, o)
-    _fold_merges(steps, parent, merges)
-
+    steps, root = _fold(g.vertex_count, edges)
     renum: dict[int, int] = {}
-    vmap = tuple(renum.setdefault(_find(parent, v), len(renum)) for v in range(n))
+    vmap = tuple(renum.setdefault(r, len(renum)) for r in root)
     new_edges = [
-        (i, code >> 1, renum[_find(parent, far)])
-        for root, i in renum.items()
-        for code, far in steps[root].items()
+        (i, code >> 1, renum[far])
+        for r, i in renum.items()
+        for code, far in steps[r].items()
         if code & 1 == 0
     ]
-    folded = XDigraph(g.alphabet, len(renum), new_edges)
-    try:
-        folded.step_maps()
-    except InvalidInputError:
-        raise AssertionError(
-            "fold_all left two equally labelled half-edges at a vertex"
-        ) from None
-    return FoldResult(folded, vmap)
+    return FoldResult(XDigraph(g.alphabet, len(renum), new_edges), vmap)
 
 
 def _star_masks(steps: list[dict[int, int]]) -> list[int]:
@@ -468,13 +468,14 @@ def type_with_anchor(g: BasedGraph) -> TypeGraph:
         removed.add(v)
     keep = [u for u in range(graph.vertex_count) if u not in removed]
     renum = {u: i for i, u in enumerate(keep)}
-    edges = [
+    # an order-preserving renumbering of sorted edges keeps them sorted
+    edges = tuple(
         (renum[o], x, renum[t])
         for o, x, t in graph.edges
         if o not in removed and t not in removed
-    ]
+    )
     return TypeGraph(
-        XDigraph(graph.alphabet, len(keep), edges),
+        XDigraph._trusted(graph.alphabet, len(keep), edges),
         renum[v],
         tuple(stem_codes),
         tuple(keep),
@@ -555,8 +556,9 @@ def _components(g: XDigraph) -> Iterator[Component]:
                     verts.append(w)
         verts.sort()
         renum = {u: i for i, u in enumerate(verts)}
-        edges = [(renum[o], x, renum[t]) for u in verts for o, x, t in out[u]]
-        yield Component(tuple(verts), XDigraph(g.alphabet, len(verts), edges))
+        # sorted: origins ascend, and each out-list is in edge order
+        edges = tuple((renum[o], x, renum[t]) for u in verts for o, x, t in out[u])
+        yield Component(tuple(verts), XDigraph._trusted(g.alphabet, len(verts), edges))
 
 
 def connected_components(g: XDigraph) -> list[Component]:
@@ -654,12 +656,13 @@ def graph_from_json(text: str) -> BasedGraph:
 
 def to_dot(g: BasedGraph, name: str = "subgroup") -> str:
     """Deterministic DOT text; the base vertex is drawn double-circled."""
-    alph = g.graph.alphabet
+    # a label is a DOT quoted string: escape its backslashes and quotes
+    labels = [s.replace("\\", "\\\\").replace('"', '\\"') for s in g.graph.alphabet.symbols]
     lines = [f"digraph {name} {{", "  rankdir=LR;"]
     for v in range(g.graph.vertex_count):
         shape = "doublecircle" if v == g.base else "circle"
         lines.append(f'  {v} [shape={shape}];')
     for o, x, t in g.graph.edges:
-        lines.append(f'  {o} -> {t} [label="{alph.symbols[x]}"];')
+        lines.append(f'  {o} -> {t} [label="{labels[x]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

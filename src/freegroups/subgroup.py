@@ -8,6 +8,9 @@ reproducible; the base vertex is always 0.  One walk over step maps,
 ``graph._core_numbering``, cuts the core, numbers it and emits its
 edges in order.  The constructor runs it after validating its input;
 the constructions here run it on maps checked once, and skip the checks.
+Constructions that add edges (generators, joins, conjugating stems)
+share one path, ``_fold_core``: ``graph._fold`` folds the edge list and
+checks its step maps once, and the walk reads them where they lie.
 
 Algorithms here cover construction by folding, membership, spanning
 trees and free bases, Schreier rewriting, rank, index and cosets,
@@ -32,9 +35,9 @@ from .graph import (
     Edge,
     XDigraph,
     _core_numbering,
+    _fold,
     based_isomorphism,
     canonical_morphism,
-    fold_all,
     is_regular,
     regular_complete,
     trace_path,
@@ -131,6 +134,12 @@ def _canonical_core(
     return SubgroupGraph._from_canonical(XDigraph._trusted(alphabet, len(pos), edges)), pos
 
 
+def _fold_core(alphabet: Alphabet, n: int, edges: list[Edge], base: int) -> SubgroupGraph:
+    """The canonical graph of the core at ``base`` of the folded graph."""
+    steps, root = _fold(n, edges)
+    return _canonical_core(alphabet, steps, root[base])[0]
+
+
 def trivial_subgroup(alphabet: Alphabet) -> SubgroupGraph:
     return SubgroupGraph(XDigraph(alphabet, 1, ()), 0)
 
@@ -147,12 +156,11 @@ def stallings_graph(
 ) -> SubgroupGraph:
     """Construct the canonical graph of ``<gens>``.
 
-    Wedge of loops spelling the generators, folded to completion, then
-    cored and renumbered at the wedge vertex in one walk over the step
-    maps that ``fold_all`` built for its own check.  Trivial generators
-    are ignored; the empty set yields the single-vertex graph of the
-    trivial subgroup.  The number of elementary folds is at most the
-    total generator length.
+    The edges of a wedge of loops spelling the generators are folded,
+    cored and renumbered at the wedge vertex (``_fold_core``); ``rng``
+    shuffles their folding order.  Trivial generators are ignored; the
+    empty set yields the single-vertex graph of the trivial subgroup.
+    The number of elementary folds is at most the total generator length.
     """
     edges: list[Edge] = []
     n = 1
@@ -160,8 +168,9 @@ def stallings_graph(
         if w.alphabet != alphabet:
             raise AlphabetMismatchError("generators must share the given alphabet")
         n = _spell_path(edges, 0, w.codes, n, end=0)
-    folded, vmap = fold_all(XDigraph(alphabet, n, edges), rng)
-    return _canonical_core(alphabet, folded.step_maps(), vmap[0])[0]
+    if rng is not None:
+        rng.shuffle(edges)
+    return _fold_core(alphabet, n, edges, 0)
 
 
 def _spell_path(
@@ -301,6 +310,10 @@ class Basis:
 
 
 def non_tree_edges(g: SubgroupGraph, tree: SpanningTree) -> list[Edge]:
+    """Edges of the graph outside the tree; raises unless the tree spans
+    this graph."""
+    if tree.host != g.graph:
+        raise InvalidInputError("the spanning tree belongs to another graph")
     return [e for e in g.graph.edges if e not in tree.edges]
 
 
@@ -461,10 +474,8 @@ def conjugate(g: SubgroupGraph, w: Word) -> SubgroupGraph:
 
     Splits ``w = y z`` with ``z`` the maximal tail whose inverse is
     readable from the base, attaches a fresh stem spelling ``y^-1`` at
-    the endpoint, and re-cores at the new base.  The stem cannot fold,
-    since ``w`` is reduced and its first letter is unreadable where it
-    is attached; building the step maps checks that once.  The type
-    graph is unchanged by conjugation.
+    the endpoint, then folds and re-cores at the new base (``_fold_core``).
+    The type graph is unchanged by conjugation.
     """
     if w.alphabet != g.alphabet:
         raise AlphabetMismatchError("conjugator and subgroup use different alphabets")
@@ -483,8 +494,7 @@ def conjugate(g: SubgroupGraph, w: Word) -> SubgroupGraph:
         return _canonical_core(g.alphabet, steps, u)[0]
     edges = list(g.graph.edges)
     n = _spell_path(edges, u, [c ^ 1 for c in reversed(y)], g.graph.vertex_count)
-    stemmed = XDigraph(g.alphabet, n, edges)
-    return _canonical_core(g.alphabet, stemmed.step_maps(), n - 1)[0]
+    return _fold_core(g.alphabet, n, edges, n - 1)
 
 
 def conjugacy_equivalent(h: SubgroupGraph, k: SubgroupGraph) -> Optional[Word]:
@@ -650,18 +660,13 @@ def relative_index(m: SubgroupGraph, h: SubgroupGraph) -> Optional[int]:
 
 
 def join(h: SubgroupGraph, k: SubgroupGraph) -> SubgroupGraph:
-    """Canonical graph of <H u K>: wedge at the bases, fold, then core
-    and renumber in one walk over the folded step maps."""
+    """Canonical graph of <H u K>: the edges of both graphs wedged at
+    the bases, folded, then cored and renumbered (``_fold_core``)."""
     if h.alphabet != k.alphabet:
         raise AlphabetMismatchError("subgroups use different alphabets")
-    offset = h.graph.vertex_count
-
-    def shift(v: int) -> int:
-        return h.base if v == k.base else offset + v - (1 if v > k.base else 0)
-
+    # both bases are vertex 0; each other vertex v of k becomes v + off
+    off = h.graph.vertex_count - 1
     edges = list(h.graph.edges) + [
-        (shift(o), x, shift(t)) for o, x, t in k.graph.edges
+        (o and o + off, x, t and t + off) for o, x, t in k.graph.edges
     ]
-    wedge = XDigraph(h.alphabet, offset + k.graph.vertex_count - 1, edges)
-    folded, vmap = fold_all(wedge)
-    return _canonical_core(h.alphabet, folded.step_maps(), vmap[h.base])[0]
+    return _fold_core(h.alphabet, off + k.graph.vertex_count, edges, 0)

@@ -27,7 +27,7 @@ from freegroups.graph import (
     type_with_anchor,
 )
 from freegroups.subgroup import contains, full_group, stallings_graph
-from freegroups.words import parse_word
+from freegroups.words import Alphabet, Word, parse_word
 
 from helpers import AB, ABC, language_words, naive_fold, rand_gens, rand_subgroup
 
@@ -348,3 +348,11 @@ def test_dot_output():
     assert text.count("->") == 2
     assert "doublecircle" in text
     assert text == to_dot(h.based)  # deterministic
+
+
+def test_dot_escapes_quotes_and_backslashes_in_labels():
+    alph = Alphabet(['x"y', "a\\b"])
+    h = stallings_graph(alph, [Word(alph, (0,)), Word(alph, (2,))])
+    text = to_dot(h.based)
+    assert '[label="x\\"y"];' in text
+    assert '[label="a\\\\b"];' in text

@@ -26,6 +26,7 @@ from freegroups.graph import (
     core,
     fold_all,
     is_folded,
+    product,
     type_graph,
 )
 from freegroups.intersect import component_analysis, intersection, is_cyclonormal, is_malnormal
@@ -281,14 +282,19 @@ def test_trusted_graphs_are_what_the_public_constructor_builds(pair, seed):
     # each edge tuple must be the sorted, in-range one XDigraph() makes
     h, k = pair
     rng = Random(seed)
+    subgroups = [
+        stallings_graph(h.alphabet, basis(h).elements + basis(k).elements),
+        conjugate(h, _readable_conjugator(rng, h)),
+        conjugate(k, rand_word(rng, h.alphabet, 8)),
+        join(h, k),
+        intersection(h, k),
+        *(pq.graph for pq in principal_quotients(_subgroup(rng, h.alphabet, 6))),
+    ]
     built = [
-        stallings_graph(h.alphabet, basis(h).elements + basis(k).elements).graph,
-        conjugate(h, _readable_conjugator(rng, h)).graph,
-        conjugate(k, rand_word(rng, h.alphabet, 8)).graph,
-        join(h, k).graph,
-        intersection(h, k).graph,
-        *(pq.graph.graph for pq in principal_quotients(_subgroup(rng, h.alphabet, 6))),
+        *(s.graph for s in subgroups),
+        *(type_graph(s.based) for s in subgroups),
         *(r.component for r in component_analysis(h, k)),
+        *(c.graph for c in connected_components(product(h.graph, k.graph).graph)),
     ]
     for g in built:
         assert g == XDigraph(g.alphabet, g.vertex_count, g.edges)
@@ -316,26 +322,32 @@ def test_core_keeps_the_base_when_pruning_reaches_it():
 
 
 def test_unfolded_build_input_raises_under_optimize():
-    # with fold_all patched to hand back its input unfolded, the one
-    # foldedness check of the build must still fire under -O
+    # with the merge loop patched to do nothing, the one foldedness check
+    # of each build that needs folds must still fire under -O
     script = """
+import freegroups.graph as fgraph
 import freegroups.subgroup as fs
-from freegroups.errors import InvalidInputError
-from freegroups.graph import FoldResult
 from freegroups.words import Alphabet, parse_word
 ab = Alphabet.from_string("ab")
-fs.fold_all = lambda g, rng=None: FoldResult(g, tuple(range(g.vertex_count)))
-try:
-    fs.stallings_graph(ab, [parse_word("ab", ab), parse_word("aB", ab)])
-except (AssertionError, InvalidInputError):
-    print("raised")
+h = fs.stallings_graph(ab, [parse_word("ab", ab)])
+k = fs.stallings_graph(ab, [parse_word("aB", ab)])
+fgraph._fold_merges = lambda steps, parent, merges: None
+builds = [lambda: fs.stallings_graph(ab, [parse_word("ab", ab), parse_word("aB", ab)]),
+          lambda: fs.join(h, k)]
+raised = 0
+for build in builds:
+    try:
+        build()
+    except AssertionError:
+        raised += 1
+print(raised)
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run(
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
-    assert done.stdout.strip() == "raised", done.stderr
+    assert done.stdout.strip() == "2", done.stderr
 
 
 # -- Whitehead descent ------------------------------------------------------------

@@ -108,6 +108,16 @@ def test_spanning_tree_from_edges_rejects_non_trees():
         spanning_tree_from_edges(g, [(0, 0, 1), (0, 0, 2)])  # (0, a, 2) is not an edge
 
 
+def test_trees_of_another_graph_are_rejected():
+    g = stallings_graph(AB, [P("ab"), P("bba")])
+    for other in ([P("aab")], [P("a"), P("b")], [P("aabAb"), P("bab")]):
+        tree = spanning_tree(stallings_graph(AB, other))
+        with pytest.raises(InvalidInputError):
+            basis(g, tree)
+        with pytest.raises(InvalidInputError):
+            rewrite_in_basis(g, tree, P("ab"))
+
+
 def test_geodesic_tree_depths():
     rng = Random(22)
     for _ in range(20):
