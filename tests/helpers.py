@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 from collections import Counter, deque
 from dataclasses import replace
 from functools import lru_cache
 from random import Random
 from typing import Optional, Sequence
 
+from freegroups.cli import _build_parser
 from freegroups.errors import InvalidInputError, ResourceLimitError
 from freegroups.extensions import ExtensionVerdict, PrincipalQuotient, principal_quotients
 from freegroups.graph import (
@@ -52,6 +54,12 @@ from freegroups.words import (
 AB = Alphabet.from_string("ab")
 ABC = Alphabet.from_string("abc")
 A1 = Alphabet.from_string("a")
+
+
+def cli_verbs() -> tuple[str, ...]:
+    """The subcommands of the ``fg`` parser, in its order."""
+    (action,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return tuple(action.choices)
 
 
 def rand_word(rng: Random, alphabet: Alphabet, max_len: int, nontrivial: bool = False) -> Word:

@@ -1,6 +1,7 @@
-"""Golden CLI output: the exact stdout bytes and exit codes of the verbs
-that build graphs or walk product graphs, on the README and test
-fixtures.  Engine changes must leave every byte of them alone.
+"""Golden CLI output: the exact stdout and stderr bytes and exit codes of
+every verb on the README and test fixtures, of its usage errors, and of
+each ``--help`` text at 80 columns.  Engine and front-end changes must
+leave every byte of them alone.
 
 The expected records live in ``golden_cli.json`` next to this file.
 Regenerate them only for an intended change of output:
@@ -12,10 +13,13 @@ from __future__ import annotations
 
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from helpers import cli_verbs
 
 from freegroups.cli import main
 
@@ -72,14 +76,81 @@ def _cases() -> list[list[str]]:
         for word in ("aab", "ab"):
             cases.append(["--alphabet", "ab", "member", "--sub", s, "--word", word])
         cases.append(["--alphabet", "ab", "hall", "--sub", s, "--word", "b", "--json"])
+    cases += [["--alphabet", "ab", *argv] for argv in _f2_cases()]
+    cases.append(["--alphabet", "ab", "--help"])
+    cases += [["--alphabet", "ab", verb, "--help"] for verb in cli_verbs()]
     return cases
 
 
+# predicate calls, each run plain, with --json and with --strict
+PREDICATES = [
+    ["member", "--sub", "bbAA", "--word", "bbAA"], ["member", "--sub", "bbAA", "--word", "ab"],
+    ["normal", "--sub", "aa,b,abA"], ["normal", "--sub", "aa"],
+    ["conj-equiv", "--sub", "aa", "--sub", "baaB"], ["conj-equiv", "--sub", "aa", "--sub", "bb"],
+    ["conj-into", "--sub", "baaB", "--sub", "a"], ["conj-into", "--sub", "a", "--sub", "aab,ba"],
+    ["immersed", "--sub", "aa,bab"], ["immersed", "--sub", "ab,bA"],
+    ["hn-check", "--sub", "ab,Ba", "--sub", "aaa,AbA"],
+    ["free-factor", "--sub", "ab", "--ambient"], ["free-factor", "--sub", "aabb", "--ambient"],
+    ["free-factor", "--sub", "a,bab"], ["free-factor", "--sub", "aa", "--ambient",
+                                        "--plateau-budget", "1"],
+    ["free-factor", "--sub", "a", "--in", "a,b"], ["free-factor", "--sub", "aa", "--in", "a"],
+    ["free-factor", "--sub", "ba", "--in", AAB_BA_JSON],
+    ["isolated", "--sub", "ab"], ["isolated", "--sub", "baaB"], ["isolated", "--sub", "aa"],
+    ["isolated", "--sub", "abAB", "--depth", "3"],
+]
+# usage errors (exit 2) and a resource limit (exit 3)
+FAILURES = [
+    ["reduce"], ["member", "--sub", "ab"], ["conjugate", "--sub", "a"],
+    ["power", "--sub", "a"], ["hall", "--sub", "a"],
+    ["graph"], ["rank", "--sub", "a", "--sub", "b"], ["intersect", "--sub", "ab"],
+    ["conj-equiv", "--sub", "a", "--sub", "b", "--sub", "ab"], ["reduce", "--word", "ac"],
+    ["member", "--sub", "a,b", "--sub", "b", "--word", "c"], ["member", "--sub", "a!b", "--word", "c"],
+    ["immersed", "--sub", AAB_BA_JSON], ["immersed", "--sub", "g.json"], ["immersed"],
+    ["immersed", "--sub", "a", "--sub", "b"], ["free-factor", "--sub", "a", "--in", "a!"],
+    ["ext-type", "--sub", "a", "--sub", "b"], ["power", "--sub", "aaa", "--word", ""],
+    ["graph", "--sub", "missing_file.json"], ["not-a-verb"], ["closure", "--sub", "aa"],
+    ["closure", "--sub", "aa", "--algebraic", "--isolated"], ["graph", "--sub", "a", "--geodesic"],
+    ["isolated", "--sub", "a", "--depth", "x"], ["free-factor", "--sub", "a", "--in"],
+    ["quotients", "--sub", "ababababababab"],
+]
+
+
+def _f2_cases() -> list[list[str]]:
+    """Every verb over ``ab`` beyond the fixture sweeps above, then the
+    failures; each list starts at the verb."""
+    cases = [
+        ["reduce", "--word", "a bB aa"], ["reduce", "--word", "aA"],
+        ["reduce", "--sub", "x!", "--word", "ab"],
+    ]
+    for s in ("", "aab,ba", "aa,b,abA", "bbAA", AAB_BA_JSON):
+        cases += [["rank", "--sub", s], ["index", "--sub", s], ["basis", "--sub", s, "--json"],
+                  ["extensions", "--sub", s]]
+        for kind in ("--algebraic", "--malnormal", "--isolated"):
+            cases.append(["closure", kind, "--sub", s])
+    for s, word in (("aaa", "a"), ("a", "b"), ("aab,ba", "ab"), (AAB_BA_JSON, "aab")):
+        for flags in ([], ["--json"]):
+            cases.append(["power", "--sub", s, "--word", word, *flags])
+    for s, word in (("bbAA", "ab"), ("aab,ba", "b"), (AAB_BA_JSON, "b")):
+        cases.append(["hall", "--sub", s, "--word", word])
+    for k, h in (("aa", "a"), ("a", "a,b"), ("ab", "a,b"), ("aa", "aa,b")):
+        for flags in ([], ["--json"]):
+            cases.append(["ext-type", "--sub", k, "--sub", h, *flags])
+    for argv in PREDICATES:
+        for flags in ([], ["--json"], ["--strict"]):
+            cases.append([*argv, *flags])
+    return cases + FAILURES
+
+
 def _run(argv: list[str]) -> dict:
+    """One ``fg`` call in process; argparse's exits are recorded too, and
+    its help and usage text wrap at 80 columns."""
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    return {"argv": argv, "exit": code, "stdout": out.getvalue()}
+    with redirect_stdout(out), redirect_stderr(err), mock.patch.dict(os.environ, COLUMNS="80"):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 def _load() -> list[dict]:
@@ -89,11 +160,8 @@ def _load() -> list[dict]:
 def test_golden_cases_cover_the_verbs():
     records = _load()
     assert [r["argv"] for r in records] == _cases()
-    verbs = {r["argv"][2] for r in records}
-    assert verbs == {
-        "graph", "conjugate", "join", "intersect", "components", "malnormal",
-        "cyclonormal", "hn-check", "quotients", "basis", "index", "dot", "member", "hall",
-    }
+    answered = {r["argv"][2] for r in records if r["exit"] in (0, 1) and r["argv"][-1] != "--help"}
+    assert answered == set(cli_verbs())
 
 
 @pytest.mark.parametrize(
