@@ -8,6 +8,12 @@ graphs on load.  Boolean verbs print ``yes``/``no`` with certificates;
 ``--json`` switches to machine-readable records.  Exit codes: 0
 computed, 1 predicate answered "no" under ``--strict``, 2 usage error,
 3 resource limit hit.
+
+Each verb is declared once, as a ``_Verb`` in ``_VERBS``: its name and
+help, how many ``--sub`` subgroups it takes, whether it needs
+``--word``, its own flags and its handler.  The parser is built from
+that table, and ``main`` loads every verb's operands the same way (the
+``--sub`` subgroups, then the ``--word``) before calling its handler.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import extensions as ext
 from . import intersect as meet
@@ -26,19 +32,6 @@ from .graph import BasedGraph, graph_from_json, graph_to_json, to_dot
 from .subgroup import SubgroupGraph
 from .whitehead import DEFAULT_PLATEAU_BUDGET, is_free_factor, is_free_factor_of_ambient
 from .words import Alphabet, Word, format_word, parse_word
-
-PREDICATE_VERBS = {
-    "member",
-    "normal",
-    "conj-equiv",
-    "conj-into",
-    "malnormal",
-    "cyclonormal",
-    "immersed",
-    "hn-check",
-    "free-factor",
-    "isolated",
-}
 
 
 def _load_words(spec: str, alphabet: Alphabet) -> list[Word]:
@@ -67,7 +60,7 @@ def _subgroup_from_json(text: str, alphabet: Alphabet) -> SubgroupGraph:
     return SubgroupGraph(based.graph, based.base)  # validates folded/core/connected
 
 
-def _emit_graph(g: SubgroupGraph, args) -> None:
+def _emit_graph(args, g: SubgroupGraph) -> None:
     if args.dot:
         emit_dot(g.based, args.dot)
     print(graph_to_json(g.based))
@@ -81,7 +74,7 @@ def emit_dot(g: BasedGraph, path: str) -> None:
         raise InvalidInputError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _answer(ok: bool, args, cert: Optional[dict] = None) -> int:
+def _answer(args, ok: bool, cert: Optional[dict] = None) -> int:
     """Print a predicate verdict plus certificate; exit 1 on --strict no."""
     cert = cert or {}
     if args.json:
@@ -97,12 +90,224 @@ def _graph_record(g: SubgroupGraph) -> dict:
     return json.loads(graph_to_json(g.based))
 
 
+def _emit_records(graphs) -> None:
+    print(json.dumps([_graph_record(g) for g in graphs]))
+
+
+# -- verb handlers: ``run(args, *operands)``, see ``_Verb`` -------------------
+
+
+def _basis(args, g: SubgroupGraph) -> None:
+    tree = sub.spanning_tree(g, geodesic=args.geodesic)
+    words = [format_word(w) for w in sub.basis(g, tree).elements]
+    print(json.dumps(words) if args.json else "\n".join(words))
+
+
+def _index(args, g: SubgroupGraph) -> None:
+    idx = sub.index(g)
+    if args.json:
+        reps = (
+            [format_word(w) for w in sub.coset_representatives(g)]
+            if idx is not None
+            else None
+        )
+        print(json.dumps({"index": idx, "representatives": reps}))
+    else:
+        print("infinite" if idx is None else idx)
+
+
+def _conjugator(args, witness: Optional[Word]) -> int:
+    cert = {"conjugator": format_word(witness)} if witness is not None else {}
+    return _answer(args, witness is not None, cert)
+
+
+def _power(args, g: SubgroupGraph, w: Word) -> None:
+    m = sub.power_in(g, w)
+    if args.json:
+        print(json.dumps({"power": m}))
+    else:
+        print("none" if m is None else m)
+
+
+def _hall(args, g: SubgroupGraph, w: Word) -> None:
+    result = sub.hall_completion(g, w)
+    if args.dot:
+        emit_dot(result.subgroup.based, args.dot)
+    if args.json:
+        print(json.dumps({
+            "index": result.finite_index,
+            "basis_h": [format_word(w) for w in result.basis_h],
+            "basis_c": [format_word(w) for w in result.basis_c],
+            "graph": _graph_record(result.subgroup),
+        }))
+    else:
+        print(f"index: {result.finite_index}")
+        print("basis_h: " + ",".join(format_word(w) for w in result.basis_h))
+        print("basis_c: " + ",".join(format_word(w) for w in result.basis_c))
+
+
+def _components(args, h: SubgroupGraph, k: SubgroupGraph) -> None:
+    records = []
+    for report in meet.component_analysis(h, k):
+        records.append({
+            "vertices": report.component.vertex_count,
+            "edges": len(report.component.edges),
+            "contains_base_pair": report.contains_base_pair,
+            "representative_vertex": list(report.representative_vertex),
+            "rank": report.rank,
+            "double_coset_witness": (
+                format_word(report.double_coset_witness)
+                if report.double_coset_witness is not None
+                else None
+            ),
+        })
+    print(json.dumps(records))
+
+
+def _malnormal(args, g: SubgroupGraph) -> int:
+    ok, witness = meet.is_malnormal(g)
+    cert = {} if witness is None else {"witness": format_word(witness)}
+    return _answer(args, ok, cert)
+
+
+def _free_factor(args, k: SubgroupGraph) -> int:
+    if args.inside is None:
+        return _answer(args, is_free_factor_of_ambient(k))
+    return _answer(args, is_free_factor(k, _load_subgroup(args.inside, k.alphabet)))
+
+
+def _ext_type(args, k: SubgroupGraph, h: SubgroupGraph) -> None:
+    verdict = ext.is_algebraic_extension(k, h)
+    if args.json:
+        print(json.dumps({
+            "kind": verdict.kind,
+            "free_factor": (
+                _graph_record(verdict.free_factor)
+                if verdict.free_factor is not None
+                else None
+            ),
+        }))
+    else:
+        print(verdict.kind)
+        if verdict.free_factor is not None:
+            print("free_factor: " + graph_to_json(verdict.free_factor.based))
+
+
+def _closure(args, k: SubgroupGraph) -> None:
+    if args.algebraic:
+        result = ext.algebraic_closure(k)
+    elif args.malnormal:
+        result = ext.malnormal_closure(k)
+    else:
+        result = ext.isolator(k)
+    _emit_graph(args, result)
+
+
+def _isolated(args, h: SubgroupGraph) -> int:
+    result = ext.is_isolated(h)
+    cert: dict = {}
+    if result.witness is not None:
+        word, m = result.witness
+        cert = {"witness": format_word(word), "power": m}
+    return _answer(args, result.isolated, cert)
+
+
+def _dot(args, g: SubgroupGraph) -> None:
+    if args.dot:
+        emit_dot(g.based, args.dot)
+    else:
+        print(to_dot(g.based), end="")
+
+
+_Flag = tuple[tuple[str, ...], dict]
+
+
+def _flag(*names: str, **kwargs) -> _Flag:
+    """A verb's own option, as the arguments of ``add_argument``."""
+    return names, kwargs
+
+
+class _Verb(NamedTuple):
+    """One ``fg`` verb.
+
+    ``run(args, *operands)`` gets the ``subs`` subgroups of ``--sub``,
+    then the ``--word`` when ``word`` is set; it prints the result and
+    returns the exit code, or None for 0.  A verb with ``subs=0``
+    ignores ``--sub``; with ``generators`` its one ``--sub`` is read as
+    a generating tuple of words, not as a subgroup.  ``flags`` are its
+    own options, and exactly one of the ``one_of`` switches is required.
+    """
+
+    name: str
+    help: str
+    run: Callable[..., Optional[int]]
+    subs: int = 1
+    word: bool = False
+    generators: bool = False
+    flags: tuple[_Flag, ...] = ()
+    one_of: tuple[str, ...] = ()
+
+
+_IGNORED = "accepted for compatibility; the test is exact and ignores it"
+
+# in parser order
+_VERBS = {verb.name: verb for verb in (
+    _Verb("reduce", "freely reduce a word",
+          lambda args, w: print(format_word(w)), subs=0, word=True),
+    _Verb("graph", "canonical subgroup graph as JSON", _emit_graph),
+    _Verb("member", "generalized word problem",
+          lambda args, g, w: _answer(args, sub.contains(g, w)), word=True),
+    _Verb("basis", "free basis from a spanning tree", _basis, flags=(
+        _flag("--geodesic", action="store_true", help="use a geodesic tree"),
+    )),
+    _Verb("rank", "rank of the subgroup", lambda args, g: print(sub.rank(g))),
+    _Verb("index", "index in the ambient free group", _index),
+    _Verb("normal", "normality test", lambda args, g: _answer(args, sub.is_normal(g))),
+    _Verb("conjugate", "graph of the conjugate subgroup",
+          lambda args, g, w: _emit_graph(args, sub.conjugate(g, w)), word=True),
+    _Verb("conj-equiv", "conjugacy of two subgroups, with witness",
+          lambda args, h, k: _conjugator(args, sub.conjugacy_equivalent(h, k)), subs=2),
+    _Verb("conj-into", "conjugacy into another subgroup, with witness",
+          lambda args, k, h: _conjugator(args, sub.conjugate_into(k, h)), subs=2),
+    _Verb("power", "least positive power lying in the subgroup", _power, word=True),
+    _Verb("hall", "finite-index completion avoiding a word", _hall, word=True),
+    _Verb("join", "subgroup generated by two subgroups",
+          lambda args, h, k: _emit_graph(args, sub.join(h, k)), subs=2),
+    _Verb("intersect", "intersection of two subgroups",
+          lambda args, h, k: _emit_graph(args, meet.intersection(h, k)), subs=2),
+    _Verb("components", "component reports of the product graph", _components, subs=2),
+    _Verb("malnormal", "malnormality test, with witness", _malnormal),
+    _Verb("cyclonormal", "cyclonormality test",
+          lambda args, g: _answer(args, meet.is_cyclonormal(g))),
+    _Verb("immersed", "no-cancellation test for a generating tuple",
+          lambda args, gens: _answer(args, meet.is_immersed(gens)), generators=True),
+    _Verb("hn-check", "intersection rank inequality probe",
+          lambda args, h, k: _answer(args, meet.hanna_neumann_check(h, k)), subs=2),
+    _Verb("free-factor", "free factor test", _free_factor, flags=(
+        _flag("--ambient", action="store_true", help="test against the whole group"),
+        _flag("--in", dest="inside", metavar="SUB", help="test inside this subgroup"),
+        _flag("--plateau-budget", type=int, default=DEFAULT_PLATEAU_BUDGET, help=_IGNORED),
+    )),
+    _Verb("quotients", "principal quotients of the subgroup graph",
+          lambda args, k: _emit_records(pq.graph for pq in ext.principal_quotients(k))),
+    _Verb("ext-type", "classify an extension K <= H as algebraic or free", _ext_type, subs=2),
+    _Verb("extensions", "all algebraic extensions",
+          lambda args, k: _emit_records(ext.algebraic_extensions(k))),
+    _Verb("closure", "algebraic, malnormal, or isolated closure", _closure,
+          one_of=("--algebraic", "--malnormal", "--isolated")),
+    _Verb("isolated", "isolation (root-closure) test", _isolated, flags=(
+        _flag("--depth", type=int, help=_IGNORED),
+    )),
+    _Verb("dot", "DOT export of the subgroup graph", _dot),
+)}
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    verb = _VERBS[args.verb]
     try:
-        alphabet = Alphabet.from_string(args.alphabet)
-        return _dispatch(args, alphabet)
+        operands = _operands(verb, args, Alphabet.from_string(args.alphabet))
+        return verb.run(args, *operands) or 0
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
@@ -111,11 +316,33 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
 
 
+def _operands(verb: _Verb, args, alphabet: Alphabet) -> list:
+    """The verb's ``--sub`` operands, then its ``--word``: when both are
+    bad, the ``--sub`` error is the one reported."""
+    specs = args.sub if verb.subs else []
+    if verb.generators:
+        if len(specs) != 1 or specs[0].strip().startswith("{") \
+                or specs[0].strip().endswith(".json"):
+            raise InvalidInputError(f"{verb.name} needs one --sub generating word list")
+        operands: list = [_load_words(specs[0], alphabet)]
+    else:
+        if len(specs) != verb.subs:
+            raise InvalidInputError(
+                f"verb {verb.name!r} needs exactly {verb.subs} --sub argument(s)"
+            )
+        operands = [_load_subgroup(s, alphabet) for s in specs]
+    if verb.word:
+        if args.word is None:
+            raise InvalidInputError(f"verb {verb.name!r} needs --word")
+        operands.append(parse_word(args.word, alphabet))
+    return operands
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The ``fg`` parser, built once per process: parsing leaves it
-    unchanged, and argparse copies the ``--sub`` list default before
-    appending to it."""
+    """The ``fg`` parser, built once per process from ``_VERBS``:
+    parsing leaves it unchanged, and argparse copies the ``--sub`` list
+    default before appending to it."""
     parser = argparse.ArgumentParser(
         prog="fg",
         description="Subgroups of free groups as folded core graphs.",
@@ -131,271 +358,15 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--dot", metavar="PATH", help="also write the result graph as DOT")
 
     verbs = parser.add_subparsers(dest="verb", required=True)
-
-    def add(name: str, **kwargs) -> argparse.ArgumentParser:
-        return verbs.add_parser(name, parents=[common], **kwargs)
-
-    add("reduce", help="freely reduce a word")
-    add("graph", help="canonical subgroup graph as JSON")
-    add("member", help="generalized word problem")
-    p = add("basis", help="free basis from a spanning tree")
-    p.add_argument("--geodesic", action="store_true", help="use a geodesic tree")
-    add("rank", help="rank of the subgroup")
-    add("index", help="index in the ambient free group")
-    add("normal", help="normality test")
-    add("conjugate", help="graph of the conjugate subgroup")
-    add("conj-equiv", help="conjugacy of two subgroups, with witness")
-    add("conj-into", help="conjugacy into another subgroup, with witness")
-    add("power", help="least positive power lying in the subgroup")
-    add("hall", help="finite-index completion avoiding a word")
-    add("join", help="subgroup generated by two subgroups")
-    add("intersect", help="intersection of two subgroups")
-    add("components", help="component reports of the product graph")
-    add("malnormal", help="malnormality test, with witness")
-    add("cyclonormal", help="cyclonormality test")
-    add("immersed", help="no-cancellation test for a generating tuple")
-    add("hn-check", help="intersection rank inequality probe")
-    p = add("free-factor", help="free factor test")
-    p.add_argument("--ambient", action="store_true", help="test against the whole group")
-    p.add_argument("--in", dest="inside", metavar="SUB", help="test inside this subgroup")
-    p.add_argument("--plateau-budget", type=int, default=DEFAULT_PLATEAU_BUDGET,
-                   help="accepted for compatibility; the test is exact and ignores it")
-    add("quotients", help="principal quotients of the subgroup graph")
-    add("ext-type", help="classify an extension K <= H as algebraic or free")
-    add("extensions", help="all algebraic extensions")
-    p = add("closure", help="algebraic, malnormal, or isolated closure")
-    kind = p.add_mutually_exclusive_group(required=True)
-    kind.add_argument("--algebraic", action="store_true")
-    kind.add_argument("--malnormal", action="store_true")
-    kind.add_argument("--isolated", action="store_true")
-    p = add("isolated", help="isolation (root-closure) test")
-    p.add_argument("--depth", type=int,
-                   help="accepted for compatibility; the test is exact and ignores it")
-    add("dot", help="DOT export of the subgroup graph")
+    for verb in _VERBS.values():
+        p = verbs.add_parser(verb.name, parents=[common], help=verb.help)
+        for names, kwargs in verb.flags:
+            p.add_argument(*names, **kwargs)
+        if verb.one_of:
+            kind = p.add_mutually_exclusive_group(required=True)
+            for name in verb.one_of:
+                kind.add_argument(name, action="store_true")
     return parser
-
-
-def _need_subs(args, alphabet: Alphabet, count: int) -> list[SubgroupGraph]:
-    if len(args.sub) != count:
-        raise InvalidInputError(
-            f"verb {args.verb!r} needs exactly {count} --sub argument(s)"
-        )
-    return [_load_subgroup(s, alphabet) for s in args.sub]
-
-
-def _need_word(args, alphabet: Alphabet) -> Word:
-    if args.word is None:
-        raise InvalidInputError(f"verb {args.verb!r} needs --word")
-    return parse_word(args.word, alphabet)
-
-
-def _dispatch(args, alphabet: Alphabet) -> int:
-    verb = args.verb
-
-    if verb == "reduce":
-        print(format_word(_need_word(args, alphabet)))
-        return 0
-
-    if verb == "graph":
-        (g,) = _need_subs(args, alphabet, 1)
-        _emit_graph(g, args)
-        return 0
-
-    if verb == "member":
-        (g,) = _need_subs(args, alphabet, 1)
-        return _answer(sub.contains(g, _need_word(args, alphabet)), args)
-
-    if verb == "basis":
-        (g,) = _need_subs(args, alphabet, 1)
-        tree = sub.spanning_tree(g, geodesic=args.geodesic)
-        words = [format_word(w) for w in sub.basis(g, tree).elements]
-        print(json.dumps(words) if args.json else "\n".join(words))
-        return 0
-
-    if verb == "rank":
-        (g,) = _need_subs(args, alphabet, 1)
-        print(sub.rank(g))
-        return 0
-
-    if verb == "index":
-        (g,) = _need_subs(args, alphabet, 1)
-        idx = sub.index(g)
-        if args.json:
-            reps = (
-                [format_word(w) for w in sub.coset_representatives(g)]
-                if idx is not None
-                else None
-            )
-            print(json.dumps({"index": idx, "representatives": reps}))
-        else:
-            print("infinite" if idx is None else idx)
-        return 0
-
-    if verb == "normal":
-        (g,) = _need_subs(args, alphabet, 1)
-        return _answer(sub.is_normal(g), args)
-
-    if verb == "conjugate":
-        (g,) = _need_subs(args, alphabet, 1)
-        _emit_graph(sub.conjugate(g, _need_word(args, alphabet)), args)
-        return 0
-
-    if verb == "conj-equiv":
-        h, k = _need_subs(args, alphabet, 2)
-        witness = sub.conjugacy_equivalent(h, k)
-        cert = {"conjugator": format_word(witness)} if witness is not None else {}
-        return _answer(witness is not None, args, cert)
-
-    if verb == "conj-into":
-        k, h = _need_subs(args, alphabet, 2)
-        witness = sub.conjugate_into(k, h)
-        cert = {"conjugator": format_word(witness)} if witness is not None else {}
-        return _answer(witness is not None, args, cert)
-
-    if verb == "power":
-        (g,) = _need_subs(args, alphabet, 1)
-        m = sub.power_in(g, _need_word(args, alphabet))
-        if args.json:
-            print(json.dumps({"power": m}))
-        else:
-            print("none" if m is None else m)
-        return 0
-
-    if verb == "hall":
-        (g,) = _need_subs(args, alphabet, 1)
-        result = sub.hall_completion(g, _need_word(args, alphabet))
-        if args.dot:
-            emit_dot(result.subgroup.based, args.dot)
-        if args.json:
-            print(json.dumps({
-                "index": result.finite_index,
-                "basis_h": [format_word(w) for w in result.basis_h],
-                "basis_c": [format_word(w) for w in result.basis_c],
-                "graph": _graph_record(result.subgroup),
-            }))
-        else:
-            print(f"index: {result.finite_index}")
-            print("basis_h: " + ",".join(format_word(w) for w in result.basis_h))
-            print("basis_c: " + ",".join(format_word(w) for w in result.basis_c))
-        return 0
-
-    if verb == "join":
-        h, k = _need_subs(args, alphabet, 2)
-        _emit_graph(sub.join(h, k), args)
-        return 0
-
-    if verb == "intersect":
-        h, k = _need_subs(args, alphabet, 2)
-        _emit_graph(meet.intersection(h, k), args)
-        return 0
-
-    if verb == "components":
-        h, k = _need_subs(args, alphabet, 2)
-        records = []
-        for report in meet.component_analysis(h, k):
-            records.append({
-                "vertices": report.component.vertex_count,
-                "edges": len(report.component.edges),
-                "contains_base_pair": report.contains_base_pair,
-                "representative_vertex": list(report.representative_vertex),
-                "rank": report.rank,
-                "double_coset_witness": (
-                    format_word(report.double_coset_witness)
-                    if report.double_coset_witness is not None
-                    else None
-                ),
-            })
-        print(json.dumps(records))
-        return 0
-
-    if verb == "malnormal":
-        (g,) = _need_subs(args, alphabet, 1)
-        ok, witness = meet.is_malnormal(g)
-        cert = {} if witness is None else {"witness": format_word(witness)}
-        return _answer(ok, args, cert)
-
-    if verb == "cyclonormal":
-        (g,) = _need_subs(args, alphabet, 1)
-        return _answer(meet.is_cyclonormal(g), args)
-
-    if verb == "immersed":
-        if len(args.sub) != 1 or args.sub[0].strip().startswith("{") \
-                or args.sub[0].strip().endswith(".json"):
-            raise InvalidInputError("immersed needs one --sub generating word list")
-        gens = _load_words(args.sub[0], alphabet)
-        return _answer(meet.is_immersed(gens), args)
-
-    if verb == "hn-check":
-        h, k = _need_subs(args, alphabet, 2)
-        return _answer(meet.hanna_neumann_check(h, k), args)
-
-    if verb == "free-factor":
-        (k,) = _need_subs(args, alphabet, 1)
-        if args.inside is not None:
-            h = _load_subgroup(args.inside, alphabet)
-            ok = is_free_factor(k, h)
-        else:
-            ok = is_free_factor_of_ambient(k)
-        return _answer(ok, args)
-
-    if verb == "quotients":
-        (k,) = _need_subs(args, alphabet, 1)
-        records = [_graph_record(pq.graph) for pq in ext.principal_quotients(k)]
-        print(json.dumps(records))
-        return 0
-
-    if verb == "ext-type":
-        k, h = _need_subs(args, alphabet, 2)
-        verdict = ext.is_algebraic_extension(k, h)
-        if args.json:
-            print(json.dumps({
-                "kind": verdict.kind,
-                "free_factor": (
-                    _graph_record(verdict.free_factor)
-                    if verdict.free_factor is not None
-                    else None
-                ),
-            }))
-        else:
-            print(verdict.kind)
-            if verdict.free_factor is not None:
-                print("free_factor: " + graph_to_json(verdict.free_factor.based))
-        return 0
-
-    if verb == "extensions":
-        (k,) = _need_subs(args, alphabet, 1)
-        print(json.dumps([_graph_record(e) for e in ext.algebraic_extensions(k)]))
-        return 0
-
-    if verb == "closure":
-        (k,) = _need_subs(args, alphabet, 1)
-        if args.algebraic:
-            result = ext.algebraic_closure(k)
-        elif args.malnormal:
-            result = ext.malnormal_closure(k)
-        else:
-            result = ext.isolator(k)
-        _emit_graph(result, args)
-        return 0
-
-    if verb == "isolated":
-        (h,) = _need_subs(args, alphabet, 1)
-        result = ext.is_isolated(h)
-        cert: dict = {}
-        if result.witness is not None:
-            word, m = result.witness
-            cert = {"witness": format_word(word), "power": m}
-        return _answer(result.isolated, args, cert)
-
-    if verb == "dot":
-        (g,) = _need_subs(args, alphabet, 1)
-        if args.dot:
-            emit_dot(g.based, args.dot)
-        else:
-            print(to_dot(g.based), end="")
-        return 0
-
-    raise InvalidInputError(f"unknown verb {verb!r}")
 
 
 if __name__ == "__main__":

@@ -8,9 +8,10 @@ reproducible; the base vertex is always 0.  One walk over step maps,
 ``graph._core_numbering``, cuts the core, numbers it and emits its
 edges in order.  The constructor runs it after validating its input;
 the constructions here run it on maps checked once, and skip the checks.
-Constructions that add edges (generators, joins, conjugating stems)
-share one path, ``_fold_core``: ``graph._fold`` folds the edge list and
-checks its step maps once, and the walk reads them where they lie.
+Constructions that fold (generators, joins) share one path,
+``_fold_core``: ``graph._fold`` folds the edge list and checks its step
+maps once, and the walk reads them where they lie.  A conjugating stem
+cannot fold, so ``conjugate`` adds it to the step maps directly.
 
 Algorithms here cover construction by folding, membership, spanning
 trees and free bases, Schreier rewriting, rank, index and cosets,
@@ -334,12 +335,18 @@ def basis(g: SubgroupGraph, tree: Optional[SpanningTree] = None) -> Basis:
 
 
 def _loop_word(tree: SpanningTree, e: Edge) -> Word:
-    """Basis element ``(path to o(e)) e (path from t(e))`` of a non-tree edge."""
+    """Basis element ``(path to o(e)) e (path from t(e))`` of a non-tree edge.
+
+    The spelling is already freely reduced, so no reduction pass runs:
+    the tree paths of a folded graph are reduced, and a cancellation
+    next to ``e`` would make ``e`` the tree edge into ``o(e)`` or
+    ``t(e)``.  ``Word`` still rejects a non-reduced spelling.
+    """
     o, x, t = e
     codes = tree.path_codes(o) + (2 * x,) + tuple(
         c ^ 1 for c in reversed(tree.path_codes(t))
     )
-    return free_reduce(tree.host.alphabet, codes)
+    return Word(tree.host.alphabet, codes)
 
 
 def rank(g: SubgroupGraph) -> int:
@@ -474,8 +481,11 @@ def conjugate(g: SubgroupGraph, w: Word) -> SubgroupGraph:
 
     Splits ``w = y z`` with ``z`` the maximal tail whose inverse is
     readable from the base, attaches a fresh stem spelling ``y^-1`` at
-    the endpoint, then folds and re-cores at the new base (``_fold_core``).
-    The type graph is unchanged by conjugation.
+    the endpoint, and re-cores at the new base (``_canonical_core``).
+    The stem cannot fold: its first code is the one found missing at
+    the endpoint, and it spells a reduced word through fresh vertices.
+    So it extends a shallow copy of the step maps, one new map per stem
+    vertex.  The type graph is unchanged by conjugation.
     """
     if w.alphabet != g.alphabet:
         raise AlphabetMismatchError("conjugator and subgroup use different alphabets")
@@ -490,11 +500,14 @@ def conjugate(g: SubgroupGraph, w: Word) -> SubgroupGraph:
         u = nxt
         i -= 1
     y = codes[:i]  # unread head; attach its inverse as a stem
-    if not y:
-        return _canonical_core(g.alphabet, steps, u)[0]
-    edges = list(g.graph.edges)
-    n = _spell_path(edges, u, [c ^ 1 for c in reversed(y)], g.graph.vertex_count)
-    return _fold_core(g.alphabet, n, edges, n - 1)
+    if y:
+        steps = list(steps)
+        steps[u] = dict(steps[u])
+        for code in reversed(y):
+            steps[u][code ^ 1] = len(steps)
+            steps.append({code: u})
+            u = len(steps) - 1
+    return _canonical_core(g.alphabet, steps, u)[0]
 
 
 def conjugacy_equivalent(h: SubgroupGraph, k: SubgroupGraph) -> Optional[Word]:

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from freegroups.cli import main
 
+from helpers import cli_verbs
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -281,6 +283,11 @@ GRAPH_CORPUS = [json.dumps(ROSE_A), "{", "missing.json", ""] + [
 FAULTS = (None,) * 6 + ("alphabet", "graph json", "sub count", "flag", "word", "number",
                         "dot file")
 NUMBERS = st.one_of(st.integers(0, 60).map(str), st.sampled_from(["-1", "", "x", "1.5"]))
+
+
+def test_fuzz_covers_every_verb():
+    # the spec above is kept by hand: a verb added to the parser without it fails here
+    assert VERBS == cli_verbs()
 
 
 # subgroups on which the old plateau sweep exceeded --plateau-budget 1

@@ -19,9 +19,10 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from helpers import cli_verbs
 
 from freegroups.cli import main
+
+from helpers import cli_verbs
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
