@@ -17,7 +17,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, NoReturn, Optional
 
 from .errors import AlphabetMismatchError, InvalidInputError
 from .words import Alphabet, Word
@@ -92,19 +92,29 @@ class XDigraph:
     # -- folded-graph traversal ------------------------------------------
 
     def step_maps(self) -> list[dict[int, int]]:
-        """Per-vertex map (signed code -> target vertex); needs a folded graph."""
+        """Per-vertex map (signed code -> target vertex); needs a folded graph.
+
+        Built on first use, in one pass over the edges that also checks
+        that the graph is folded."""
         if self._steps is None:
-            steps: list[dict[int, int]] = [dict() for _ in range(self.vertex_count)]
+            steps: list[dict[int, int]] = [{} for _ in range(self.vertex_count)]
             for o, x, t in self.edges:
-                for v, code, far in ((o, 2 * x, t), (t, 2 * x + 1, o)):
-                    if code in steps[v]:
-                        raise InvalidInputError(
-                            "graph is not folded: two half-edges labeled "
-                            f"{self.alphabet.code_name(code)} at vertex {v}"
-                        )
-                    steps[v][code] = far
+                at, code = steps[o], x + x
+                if code in at:
+                    self._not_folded(o, code)
+                at[code] = t
+                at = steps[t]
+                if code + 1 in at:
+                    self._not_folded(t, code + 1)
+                at[code + 1] = o
             self._steps = steps
         return self._steps
+
+    def _not_folded(self, v: int, code: int) -> NoReturn:
+        raise InvalidInputError(
+            "graph is not folded: two half-edges labeled "
+            f"{self.alphabet.code_name(code)} at vertex {v}"
+        )
 
     def step(self, v: int, code: int) -> Optional[int]:
         return self.step_maps()[v].get(code)
@@ -619,6 +629,17 @@ def graph_to_json(g: BasedGraph) -> str:
 
 
 def graph_from_json(text: str) -> BasedGraph:
+    """Parse a based graph record, as ``graph_to_json`` writes it.
+
+    One pass over the edge records checks each record's shape, integer
+    endpoints and label and whether the edges come sorted, and interns
+    the endpoints, so the graph holds one ``int`` per vertex named in an
+    edge and nothing per declared vertex.  The endpoint range is read
+    off the least and greatest of them; a fault raises the message
+    ``XDigraph(...)`` gives, naming the first bad edge in sorted order.
+    Edges are sorted only when they came out of order, and wrapped
+    without the second check of ``XDigraph(...)``.
+    """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -640,18 +661,29 @@ def graph_from_json(text: str) -> BasedGraph:
     elif not (isinstance(raw_alph, list) and all(isinstance(s, str) for s in raw_alph)):
         raise InvalidInputError("graph record needs an 'alphabet' string or list of strings")
     alph = Alphabet(raw_alph)
-    edges = []
+    edges: list[Edge] = []
     ends: dict[int, int] = {}  # one int object per vertex, however often it is named
+    ordered = True
+    lo = lx = lt = -1  # the edge before; (o, x, t) < (lo, lx, lt) is a fault of order
     for rec in raw_edges:
         if not (isinstance(rec, list) and len(rec) == 3):
             raise InvalidInputError(f"malformed edge record: {rec!r}")
         o, sym, t = rec
         if type(o) is not int or type(t) is not int:
             raise InvalidInputError(f"edge record {rec!r} needs integer endpoints")
-        if not isinstance(sym, str) or sym not in alph._index:
+        x = alph._index.get(sym) if isinstance(sym, str) else None
+        if x is None:
             raise InvalidInputError(f"edge label {sym!r} outside alphabet")
-        edges.append((ends.setdefault(o, o), alph._index[sym], ends.setdefault(t, t)))
-    return BasedGraph(XDigraph(alph, vertices, edges), base)
+        if o <= lo and (o < lo or x < lx or (x == lx and t < lt)):
+            ordered = False
+        lo, lx, lt = o, x, t
+        edges.append((ends.setdefault(o, o), x, ends.setdefault(t, t)))
+    if ends and not (min(ends) >= 0 and max(ends) < vertices):
+        bad = min(e for e in edges if not (0 <= e[0] < vertices and 0 <= e[2] < vertices))
+        raise InvalidInputError(f"edge {bad} has a vertex out of range")
+    if not ordered:
+        edges.sort()
+    return BasedGraph(XDigraph._trusted(alph, vertices, tuple(edges)), base)
 
 
 def to_dot(g: BasedGraph, name: str = "subgroup") -> str:

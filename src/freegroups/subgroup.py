@@ -6,8 +6,10 @@ renumbered breadth-first from the base with signed-letter tie-breaking,
 so equal subgroups produce identical objects and serialized output is
 reproducible; the base vertex is always 0.  One walk over step maps,
 ``graph._core_numbering``, cuts the core, numbers it and emits its
-edges in order.  The constructor runs it after validating its input;
-the constructions here run it on maps checked once, and skip the checks.
+edges in order.  The constructor runs it after validating its input,
+unless one cheaper walk (``_is_canonical``) finds the input numbered
+already; the constructions here run it on maps checked once, and skip
+the checks.
 Constructions that fold (generators, joins) share one path,
 ``_fold_core``: ``graph._fold`` folds the edge list and checks its step
 maps once, and the walk reads them where they lie.  A conjugating stem
@@ -56,7 +58,7 @@ class SubgroupGraph:
     Two instances compare equal iff they are based-isomorphic, i.e. iff
     they describe the same subgroup.  The constructor checks the graph
     and numbers it with ``_canonical_core``; input already in canonical
-    numbering keeps its edge tuple and the step maps of the check.
+    numbering is kept, with its edge tuple and the step maps of the check.
     """
 
     __slots__ = ("graph",)
@@ -64,20 +66,31 @@ class SubgroupGraph:
     base = 0
 
     def __init__(self, graph: XDigraph, base: int):
+        """Check that ``graph`` is folded, connected and a core at ``base``,
+        and number it canonically.
+
+        Input already in canonical numbering, such as the JSON ``fg
+        graph`` writes, is recognised by one walk over the step maps of
+        the foldedness check (``_is_canonical``) and kept as it is: its
+        edge tuple and those maps.  Any other input goes through
+        ``_canonical_core``, which renumbers it, and whose walk also
+        shows a graph that is not connected or not a core.
+        """
         if not 0 <= base < graph.vertex_count:
             raise InvalidInputError(f"base vertex {base} out of range")
         if graph.vertex_count > len(graph.edges) + 1:  # before a dict per vertex
             raise InvalidInputError("subgroup graph must be connected")
         steps = graph.step_maps()  # raises if not folded
+        graph._steps = None  # one copy of the maps lives at a time
+        if base == 0 and _is_canonical(steps):
+            self.graph = XDigraph._trusted(graph.alphabet, graph.vertex_count, graph.edges, steps)
+            return
         canon, pos = _canonical_core(graph.alphabet, steps, base)
         if len(pos) != graph.vertex_count:
             if not graph.is_connected():
                 raise InvalidInputError("subgroup graph must be connected")
             raise InvalidInputError("subgroup graph must be a core graph at its base")
-        graph._steps = None  # one copy of the maps lives at a time
         self.graph = canon.graph
-        if list(pos) == list(range(len(pos))):  # already canonical
-            self.graph = XDigraph._trusted(graph.alphabet, len(pos), graph.edges, steps)
 
     @classmethod
     def _from_canonical(cls, graph: XDigraph) -> "SubgroupGraph":
@@ -133,6 +146,29 @@ def _canonical_core(
     """
     pos, edges = _core_numbering(steps, base)
     return SubgroupGraph._from_canonical(XDigraph._trusted(alphabet, len(pos), edges)), pos
+
+
+def _is_canonical(steps: list[dict[int, int]]) -> bool:
+    """True iff the folded graph with these step maps is a core at vertex
+    0 that ``_core_numbering`` numbers as it is: the breadth-first walk
+    from 0 in signed-code order meets the vertices in the order 0, 1,
+    2, ..., reaches them all, and every vertex but 0 has two half-edges
+    or more.  Then no vertex is cut and the canonical edges are the
+    graph's own.
+    """
+    fresh = 1  # the walk has met vertices 0 .. fresh - 1
+    for u, m in enumerate(steps):
+        if u >= fresh or (u and len(m) < 2):
+            return False
+        # a met vertex u > 0 has a half-edge back to the vertex it was met
+        # from, so with two half-edges it has no two new ones to order
+        for code in (m if u and len(m) == 2 else sorted(m)):
+            w = m[code]
+            if w >= fresh:
+                if w != fresh:
+                    return False
+                fresh += 1
+    return True
 
 
 def _fold_core(alphabet: Alphabet, n: int, edges: list[Edge], base: int) -> SubgroupGraph:

@@ -117,6 +117,17 @@ class Word:
         self.alphabet = alphabet
         self.codes = codes
 
+    @classmethod
+    def _trusted(cls, alphabet: Alphabet, codes: tuple[int, ...]) -> "Word":
+        """Wrap codes that a reduction loop over this alphabet has just
+        produced, in range and freely reduced, without the checks of
+        ``__init__``; like ``XDigraph._trusted``, it is for the library's
+        own results, never for a caller's sequence."""
+        w = object.__new__(cls)
+        w.alphabet = alphabet
+        w.codes = codes
+        return w
+
     # -- basic protocol ------------------------------------------------
 
     def __len__(self) -> int:
@@ -190,7 +201,7 @@ def free_reduce(alphabet: Alphabet, raw: Iterable[int]) -> Word:
             stack.pop()
         else:
             stack.append(c)
-    return Word(alphabet, stack)
+    return Word._trusted(alphabet, tuple(stack))
 
 
 def multiply(u: Word, v: Word) -> Word:
@@ -202,12 +213,12 @@ def multiply(u: Word, v: Word) -> Word:
             stack.pop()
         else:
             stack.append(c)
-    return Word(u.alphabet, stack)
+    return Word._trusted(u.alphabet, tuple(stack))
 
 
 def invert(w: Word) -> Word:
     """Formal inverse: reversed sequence, all signs flipped."""
-    return Word(w.alphabet, tuple(c ^ 1 for c in reversed(w.codes)))
+    return Word._trusted(w.alphabet, tuple([c ^ 1 for c in reversed(w.codes)]))
 
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
@@ -225,7 +236,7 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
 
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:
-    """Parse the one-letter textual convention and freely reduce.
+    """Parse the one-letter textual convention, freely reducing on the way.
 
     Lowercase is a positive letter, its exact ``str.upper()`` the
     inverse; whitespace is ignored.  Any other character, including one
@@ -237,15 +248,18 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
         raise InvalidInputError(
             "textual parsing needs an alphabet of single lowercase letters"
         )
-    raw: list[int] = []
+    stack: list[int] = []
     for pos, ch in enumerate(text):
         code = letters.get(ch)
         if code is None:
             if ch.isspace():
                 continue
             raise WordParseError(f"unknown character {ch!r}", pos)
-        raw.append(code)
-    return free_reduce(alphabet, raw)
+        if stack and stack[-1] == code ^ 1:
+            stack.pop()
+        else:
+            stack.append(code)
+    return Word._trusted(alphabet, tuple(stack))
 
 
 def synthetic_alphabet(size: int) -> Alphabet:

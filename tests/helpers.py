@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import json
 from collections import Counter, deque
 from dataclasses import replace
 from functools import lru_cache
@@ -27,6 +28,7 @@ from freegroups.graph import (
 from freegroups.intersect import ComponentReport
 from freegroups.subgroup import (
     SubgroupGraph,
+    _canonical_core,
     _spell_path,
     contains,
     power_in,
@@ -552,4 +554,64 @@ def _conjugacy_key(g: SubgroupGraph) -> tuple:
     return min(
         tuple(sorted((pos[o], x, pos[t]) for o, x, t in g.graph.edges))
         for pos in (_core_numbering(steps, v)[0] for v, m in enumerate(stars) if m == rare)
+    )
+
+
+def subgroup_from_json_by_passes(text: str) -> SubgroupGraph:
+    """The graph-JSON load as separate passes, each with its own checks:
+    the record checks, ``XDigraph(...)``'s sort and range check, step
+    maps built one half-edge at a time, and ``_canonical_core``'s walk
+    on every input; the result is kept as it is when that walk numbers
+    it as it is."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"invalid graph JSON: {exc}") from None
+    try:
+        raw_alph = payload["alphabet"]
+        vertices = payload["vertices"]
+        base = payload["base"]
+        raw_edges = payload["edges"]
+    except (KeyError, TypeError) as exc:
+        raise InvalidInputError(f"malformed graph record: {exc}") from None
+    if type(vertices) is not int or type(base) is not int:
+        raise InvalidInputError("graph record needs integer 'vertices' and 'base'")
+    if not isinstance(raw_edges, list):
+        raise InvalidInputError("graph record needs an 'edges' list")
+    if isinstance(raw_alph, str):
+        raw_alph = tuple(raw_alph)
+    elif not (isinstance(raw_alph, list) and all(isinstance(s, str) for s in raw_alph)):
+        raise InvalidInputError("graph record needs an 'alphabet' string or list of strings")
+    alph = Alphabet(raw_alph)
+    edges = []
+    for rec in raw_edges:
+        if not (isinstance(rec, list) and len(rec) == 3):
+            raise InvalidInputError(f"malformed edge record: {rec!r}")
+        o, sym, t = rec
+        if type(o) is not int or type(t) is not int:
+            raise InvalidInputError(f"edge record {rec!r} needs integer endpoints")
+        if not isinstance(sym, str) or sym not in alph._index:
+            raise InvalidInputError(f"edge label {sym!r} outside alphabet")
+        edges.append((o, alph._index[sym], t))
+    graph = BasedGraph(XDigraph(alph, vertices, edges), base).graph
+    if graph.vertex_count > len(graph.edges) + 1:
+        raise InvalidInputError("subgroup graph must be connected")
+    steps: list[dict[int, int]] = [{} for _ in range(graph.vertex_count)]
+    for o, x, t in graph.edges:
+        for v, code, far in ((o, 2 * x, t), (t, 2 * x + 1, o)):
+            if code in steps[v]:
+                raise InvalidInputError(
+                    "graph is not folded: two half-edges labeled "
+                    f"{alph.code_name(code)} at vertex {v}"
+                )
+            steps[v][code] = far
+    canon, pos = _canonical_core(alph, steps, base)
+    if len(pos) != graph.vertex_count:
+        if not graph.is_connected():
+            raise InvalidInputError("subgroup graph must be connected")
+        raise InvalidInputError("subgroup graph must be a core graph at its base")
+    if list(pos) != list(range(len(pos))):
+        return canon
+    return SubgroupGraph._from_canonical(
+        XDigraph._trusted(alph, len(pos), graph.edges, steps)
     )

@@ -254,6 +254,47 @@ def test_non_utf8_graph_file_exit_2(capsys, tmp_path):
     assert code == 2 and str(path) in err
 
 
+def test_fg_graph_output_loads_in_one_pass(capsys, monkeypatch):
+    # the JSON `fg graph` writes is canonical: loading it builds the step
+    # maps once, for the foldedness check, and neither re-sorts its edges
+    # through XDigraph(...) nor renumbers it through _core_numbering
+    import freegroups.cli as cli
+    import freegroups.graph as fgraph
+    import freegroups.subgroup as fsub
+    from freegroups.words import Alphabet
+
+    code, text, _ = run(capsys, "--alphabet", "ab", "graph", "--sub", "aabAB,bbaBA,abababab")
+    assert code == 0
+    calls = {"init": 0, "numbering": 0, "maps": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    step_maps = fgraph.XDigraph.step_maps
+
+    def build_counted(g):
+        calls["maps"] += g._steps is None
+        return step_maps(g)
+
+    monkeypatch.setattr(fgraph.XDigraph, "__init__", counted("init", fgraph.XDigraph.__init__))
+    monkeypatch.setattr(fgraph.XDigraph, "step_maps", build_counted)
+    for module in (fgraph, fsub):
+        monkeypatch.setattr(module, "_core_numbering", counted("numbering", module._core_numbering))
+    loaded = cli._load_subgroup(text, Alphabet.from_string("ab"))
+    assert calls == {"init": 0, "numbering": 0, "maps": 1}
+    assert fgraph.graph_to_json(loaded.based) + "\n" == text
+    # the same graph renumbered takes the full path
+    record = json.loads(text)
+    record["edges"] = [[record["vertices"] - 1 - o, x, record["vertices"] - 1 - t]
+                       for o, x, t in record["edges"]]
+    record["base"] = record["vertices"] - 1
+    assert cli._load_subgroup(json.dumps(record), loaded.alphabet) == loaded
+    assert calls["numbering"] == 1
+
+
 @pytest.mark.parametrize("verb", ["graph", "dot"])
 def test_dot_into_missing_directory_exit_2(capsys, tmp_path, verb):
     # the DOT file is written before any result is printed

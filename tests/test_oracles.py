@@ -3,11 +3,14 @@
 The base-component intersection, the component walk behind the reports
 and the malnormal and cyclonormal tests, and the fused fold -> core ->
 canonical builds must give exactly what the full product graph and the
-unfused builds give.  The star-split sizes of
-Whitehead moves must match the built images, and the descent on cyclic
-cores must decide free factors as the descent on based graphs does.
+unfused builds give.  The one-pass graph-JSON load must give what the
+load in separate passes gives, errors included.  The star-split sizes
+of Whitehead moves must match the built images, and the descent on
+cyclic cores must decide free factors as the descent on based graphs
+does.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -25,12 +28,14 @@ from freegroups.graph import (
     connected_components,
     core,
     fold_all,
+    graph_from_json,
+    graph_to_json,
     is_folded,
     product,
     type_graph,
 )
 from freegroups.intersect import component_analysis, intersection, is_cyclonormal, is_malnormal
-from freegroups.subgroup import basis, conjugate, join, stallings_graph
+from freegroups.subgroup import SubgroupGraph, basis, conjugate, join, stallings_graph
 from freegroups.errors import ResourceLimitError
 from freegroups.whitehead import (
     _cyclic_core,
@@ -56,6 +61,7 @@ from helpers import (
     rand_word,
     smaller_state_on_plateau,
     stallings_graph_unfused,
+    subgroup_from_json_by_passes,
 )
 
 ABCD = Alphabet.from_string("abcd")
@@ -321,13 +327,113 @@ def test_core_keeps_the_base_when_pruning_reaches_it():
     assert conjugate(h, parse_word("A", AB)) == stallings_graph(AB, [parse_word("aabAA", AB)])
 
 
+# -- the graph-JSON load ----------------------------------------------------------
+
+
+def _load(text: str):
+    """The graph-JSON load as ``fg`` runs it, or the error it raises."""
+    try:
+        based = graph_from_json(text)
+        return based, SubgroupGraph(based.graph, based.base)
+    except Exception as exc:  # the class and message are compared
+        return None, (type(exc), str(exc))
+
+
+def _load_by_passes(text: str):
+    try:
+        return subgroup_from_json_by_passes(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _relabelled(rng: Random, record: dict) -> dict:
+    """The same graph with its vertices permuted and its edges shuffled;
+    every fourth time the numbering is kept and only the order changes."""
+    perm = list(range(record["vertices"]))
+    if rng.random() < 0.75:
+        rng.shuffle(perm)
+    edges = [[perm[o], x, perm[t]] for o, x, t in record["edges"]]
+    rng.shuffle(edges)
+    return {**record, "base": perm[record["base"]], "edges": edges}
+
+
+def _corrupted(rng: Random, record: dict) -> dict:
+    """The record with one fault of eight kinds, chosen by ``rng``."""
+    record = {**record, "edges": [list(e) for e in record["edges"]]}
+    edges, n = record["edges"], record["vertices"]
+    labels = list(record["alphabet"])
+    e = rng.choice(edges)
+    kind = rng.randrange(8)
+    if kind == 0:  # an endpoint out of range
+        e[rng.choice([0, 2])] = rng.choice([-1, n, n + rng.randrange(5)])
+    elif kind == 1:  # a label outside the alphabet
+        e[1] = rng.choice(["z", "", "ab", 0, None, ["a"]])
+    elif kind == 2:  # a second half-edge with a label already at the vertex
+        edges.insert(rng.randrange(len(edges) + 1), [e[0], e[1], rng.randrange(n)])
+    elif kind == 3:  # a dangling vertex: one edge to a new vertex
+        record["vertices"] = n + 1
+        edges.append([rng.randrange(n), rng.choice(labels), n])
+    elif kind == 4:  # a second component: a new vertex with a loop
+        record["vertices"] = n + 1
+        edges.append([n, rng.choice(labels), n])
+    elif kind == 5:  # the base out of range
+        record["base"] = rng.choice([-1, n, n + 3])
+    elif kind == 6:  # a record that is not a three-element list
+        edges[edges.index(e)] = rng.choice([{"o": 0}, "a0b", 5, None, e[:2], e + [0]])
+    else:  # a bool or float endpoint
+        e[rng.choice([0, 2])] = rng.choice([True, False, 0.0, float(e[0])])
+    return record
+
+
+@settings(max_examples=150, deadline=None)
+@given(_subgroups(max_vertices=30), st.integers(0, 2**32))
+def test_graph_json_load_matches_the_load_by_passes(h, seed):
+    rng = Random(seed)
+    text = graph_to_json(h.based)
+    # canonical JSON is kept: its edge tuple and the checked step maps
+    based, loaded = _load(text)
+    assert loaded == h == _load_by_passes(text)
+    assert loaded.graph.edges is based.graph.edges
+    assert based.graph._steps is None
+    assert loaded.graph._steps == XDigraph(h.alphabet, h.vertex_count, h.graph.edges).step_maps()
+    # the same graph relabelled and shuffled is renumbered to it
+    record = json.loads(text)
+    moved = json.dumps(_relabelled(rng, record))
+    assert _load(moved)[1] == h == _load_by_passes(moved)
+    # a fault gives the same error class and message on both paths
+    for start in (record, _relabelled(rng, record)):
+        bad = json.dumps(_corrupted(rng, start))
+        assert _load(bad)[1] == _load_by_passes(bad)
+
+
+def test_graph_json_load_reports_the_first_bad_edge_in_sorted_order():
+    record = {"alphabet": "ab", "vertices": 2, "base": 0,
+              "edges": [[0, "b", 1], [0, "a", 9], [-1, "a", 0], [1, "a", 0]]}
+    text = json.dumps(record)
+    assert _load(text)[1] == _load_by_passes(text)
+    assert _load(text)[1][1] == "edge (-1, 0, 0) has a vertex out of range"
+    # the record checks run over every record before the range check
+    record["edges"].append([0, "z", 0])
+    assert _load(json.dumps(record))[1][1] == "edge label 'z' outside alphabet"
+
+
 def test_unfolded_build_input_raises_under_optimize():
     # with the merge loop patched to do nothing, the one foldedness check
-    # of each build that needs folds must still fire under -O
+    # of each build that needs folds must still fire under -O; before
+    # that, `fg` must reject an unfolded graph JSON and renumber a valid
+    # one given out of canonical numbering, since the load checks raise
     script = """
+import contextlib, io
 import freegroups.graph as fgraph
 import freegroups.subgroup as fs
+from freegroups.cli import main
 from freegroups.words import Alphabet, parse_word
+for record in ('{"alphabet": "ab", "vertices": 2, "base": 0, "edges": [[0, "a", 1], [0, "a", 0]]}',
+               '{"alphabet": "ab", "vertices": 2, "base": 1, "edges": [[1, "a", 0], [0, "b", 1]]}'):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--alphabet", "ab", "graph", "--sub", record])
+    print(code, out.getvalue() + err.getvalue(), end="")
 ab = Alphabet.from_string("ab")
 h = fs.stallings_graph(ab, [parse_word("ab", ab)])
 k = fs.stallings_graph(ab, [parse_word("aB", ab)])
@@ -347,7 +453,11 @@ print(raised)
     done = subprocess.run(
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
-    assert done.stdout.strip() == "2", done.stderr
+    assert done.stdout.splitlines() == [
+        "2 error: graph is not folded: two half-edges labeled a at vertex 0",
+        '0 {"alphabet": "ab", "vertices": 2, "base": 0, "edges": [[0, "a", 1], [1, "b", 0]]}',
+        "2",
+    ], done.stderr
 
 
 # -- Whitehead descent ------------------------------------------------------------

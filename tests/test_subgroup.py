@@ -568,21 +568,33 @@ def test_k_in_h_functions_reject_two_alphabets(call):
         call(k, full_group(AB))
 
 
-def test_far_more_vertices_than_edges_is_rejected_cheaply():
+def test_far_more_vertices_than_edges_is_rejected_cheaply(capsys):
     # a connected graph has #V <= #E + 1, which is checked before any
-    # per-vertex structure is built
+    # per-vertex structure is built, by the library and by `fg`
     import json
     import tracemalloc
 
+    from freegroups.cli import _build_parser, main
     from freegroups.graph import graph_from_json
 
-    record = json.dumps({"alphabet": "ab", "vertices": 10**6, "base": 0, "edges": []})
-    tracemalloc.start()
-    try:
+    def load(record):
         with pytest.raises(InvalidInputError, match="must be connected"):
             based = graph_from_json(record)
             SubgroupGraph(based.graph, based.base)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
+        return 2
+
+    def fg_member(record):
+        return main(["--alphabet", "ab", "member", "--sub", record, "--word", "a"])
+
+    _build_parser()  # built once per process, outside the measurement
+    for vertices, edges in ((10**6, []), (10**9, [[0, "a", 0]])):
+        record = json.dumps({"alphabet": "ab", "vertices": vertices, "base": 0, "edges": edges})
+        for run in (load, fg_member):
+            tracemalloc.start()
+            try:
+                assert run(record) == 2
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20
+    assert capsys.readouterr().err == "error: subgroup graph must be connected\n" * 2

@@ -3,6 +3,8 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freegroups.errors import AlphabetMismatchError, InvalidInputError, WordParseError
 from freegroups.words import (
@@ -29,20 +31,21 @@ def test_free_reduce_examples():
     assert format_word(P("a bB aa")) == "aaa"
 
 
-def test_free_reduce_matches_scan_oracle():
-    # independent oracle: repeatedly delete the first cancelling pair
-    def slow_reduce(codes):
-        codes = list(codes)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(codes) - 1):
-                if codes[i] == codes[i + 1] ^ 1:
-                    del codes[i : i + 2]
-                    changed = True
-                    break
-        return tuple(codes)
+def slow_reduce(codes):
+    """Independent oracle: repeatedly delete the first cancelling pair."""
+    codes = list(codes)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(codes) - 1):
+            if codes[i] == codes[i + 1] ^ 1:
+                del codes[i : i + 2]
+                changed = True
+                break
+    return tuple(codes)
 
+
+def test_free_reduce_matches_scan_oracle():
     rng = Random(1)
     for _ in range(200):
         raw = [rng.randrange(AB.num_codes) for _ in range(rng.randint(0, 12))]
@@ -131,6 +134,45 @@ def test_parse_accepts_a_letter_and_its_exact_uppercase_only(capsys):
     assert err.value.position == 0
     assert main(["--alphabet", "k", "reduce", "--word", "\u212a"]) == 2
     assert capsys.readouterr().out == ""
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([AB, ABC]), st.lists(st.integers(0, 5), max_size=24),
+       st.lists(st.integers(0, 5), max_size=24), st.integers(0, 2**32))
+def test_trusted_words_are_what_the_public_constructor_builds(alphabet, raw, other, seed):
+    # parse_word, free_reduce, multiply and invert wrap their reduced
+    # codes without Word's checks; the checked constructor must agree
+    raw = [c % alphabet.num_codes for c in raw]
+    other = [c % alphabet.num_codes for c in other]
+    names = alphabet._names
+    rng = Random(seed)
+    text = "".join(names[c] + rng.choice(["", "", " ", "\t"]) for c in raw)
+    u, v = free_reduce(alphabet, raw), free_reduce(alphabet, other)
+    assert u == Word(alphabet, slow_reduce(raw))
+    assert parse_word(text, alphabet) == u
+    assert multiply(u, v) == Word(alphabet, slow_reduce(raw + other))
+    assert invert(u) == Word(alphabet, [c ^ 1 for c in reversed(u.codes)])
+    for w in (u, parse_word(text, alphabet), multiply(u, v), invert(u)):
+        assert type(w.codes) is tuple
+
+
+def test_parse_reports_positions_while_reducing():
+    # whitespace counts towards the position, and so do cancelled letters
+    with pytest.raises(WordParseError) as err:
+        parse_word("ab \tBA x", AB)
+    assert err.value.position == 7
+    with pytest.raises(WordParseError) as err:
+        parse_word("k K\u212a", Alphabet("k"))
+    assert err.value.position == 3
+
+
+def test_public_word_still_checks_its_codes():
+    with pytest.raises(InvalidInputError, match="letter code 4 outside alphabet"):
+        Word(AB, (0, 4))
+    with pytest.raises(InvalidInputError, match="letter code -1 outside alphabet"):
+        Word(AB, (-1,))
+    with pytest.raises(InvalidInputError, match="not freely reduced at b b\\^-1"):
+        Word(AB, (0, 2, 3))
 
 
 def test_alphabet_mismatch():
