@@ -11,9 +11,10 @@ computed, 1 predicate answered "no" under ``--strict``, 2 usage error,
 
 Each verb is declared once, as a ``_Verb`` in ``_VERBS``: its name and
 help, how many ``--sub`` subgroups it takes, whether it needs
-``--word``, its own flags and its handler.  The parser is built from
-that table, and ``main`` loads every verb's operands the same way (the
-``--sub`` subgroups, then the ``--word``) before calling its handler.
+``--word``, the options its handler reads, and the handler.  The parser
+gives each verb exactly those options, so any other is a usage error,
+and ``main`` loads every verb's operands the same way (the ``--sub``
+subgroups, then the ``--word``) before calling its handler.
 """
 
 from __future__ import annotations
@@ -173,6 +174,8 @@ def _malnormal(args, g: SubgroupGraph) -> int:
 def _free_factor(args, k: SubgroupGraph) -> int:
     if args.inside is None:
         return _answer(args, is_free_factor_of_ambient(k))
+    if args.ambient:
+        raise InvalidInputError("free-factor takes --ambient or --in, not both")
     return _answer(args, is_free_factor(k, _load_subgroup(args.inside, k.alphabet)))
 
 
@@ -223,8 +226,14 @@ _Flag = tuple[tuple[str, ...], dict]
 
 
 def _flag(*names: str, **kwargs) -> _Flag:
-    """A verb's own option, as the arguments of ``add_argument``."""
+    """A verb's option, as the arguments of ``add_argument``."""
     return names, kwargs
+
+
+_JSON = _flag("--json", action="store_true", help="machine-readable output")
+_DOT = _flag("--dot", metavar="PATH", help="also write the result graph as DOT")
+_PREDICATE = (_JSON, _flag("--strict", action="store_true",
+                           help="exit 1 when a predicate answers no"))
 
 
 class _Verb(NamedTuple):
@@ -232,10 +241,11 @@ class _Verb(NamedTuple):
 
     ``run(args, *operands)`` gets the ``subs`` subgroups of ``--sub``,
     then the ``--word`` when ``word`` is set; it prints the result and
-    returns the exit code, or None for 0.  A verb with ``subs=0``
-    ignores ``--sub``; with ``generators`` its one ``--sub`` is read as
-    a generating tuple of words, not as a subgroup.  ``flags`` are its
-    own options, and exactly one of the ``one_of`` switches is required.
+    returns the exit code, or None for 0.  The verb takes ``--sub`` only
+    when ``subs > 0`` and ``--word`` only when ``word`` is set; with
+    ``generators`` its one ``--sub`` is a generating tuple of words, not
+    a subgroup.  ``flags`` are the other options ``run`` reads, and
+    exactly one of the ``one_of`` switches is required.
     """
 
     name: str
@@ -254,51 +264,56 @@ _IGNORED = "accepted for compatibility; the test is exact and ignores it"
 _VERBS = {verb.name: verb for verb in (
     _Verb("reduce", "freely reduce a word",
           lambda args, w: print(format_word(w)), subs=0, word=True),
-    _Verb("graph", "canonical subgroup graph as JSON", _emit_graph),
+    _Verb("graph", "canonical subgroup graph as JSON", _emit_graph, flags=(_DOT,)),
     _Verb("member", "generalized word problem",
-          lambda args, g, w: _answer(args, sub.contains(g, w)), word=True),
+          lambda args, g, w: _answer(args, sub.contains(g, w)), word=True, flags=_PREDICATE),
     _Verb("basis", "free basis from a spanning tree", _basis, flags=(
-        _flag("--geodesic", action="store_true", help="use a geodesic tree"),
+        _JSON, _flag("--geodesic", action="store_true", help="use a geodesic tree"),
     )),
     _Verb("rank", "rank of the subgroup", lambda args, g: print(sub.rank(g))),
-    _Verb("index", "index in the ambient free group", _index),
-    _Verb("normal", "normality test", lambda args, g: _answer(args, sub.is_normal(g))),
+    _Verb("index", "index in the ambient free group", _index, flags=(_JSON,)),
+    _Verb("normal", "normality test", lambda args, g: _answer(args, sub.is_normal(g)),
+          flags=_PREDICATE),
     _Verb("conjugate", "graph of the conjugate subgroup",
-          lambda args, g, w: _emit_graph(args, sub.conjugate(g, w)), word=True),
-    _Verb("conj-equiv", "conjugacy of two subgroups, with witness",
-          lambda args, h, k: _conjugator(args, sub.conjugacy_equivalent(h, k)), subs=2),
-    _Verb("conj-into", "conjugacy into another subgroup, with witness",
-          lambda args, k, h: _conjugator(args, sub.conjugate_into(k, h)), subs=2),
-    _Verb("power", "least positive power lying in the subgroup", _power, word=True),
-    _Verb("hall", "finite-index completion avoiding a word", _hall, word=True),
+          lambda args, g, w: _emit_graph(args, sub.conjugate(g, w)), word=True, flags=(_DOT,)),
+    _Verb("conj-equiv", "conjugacy of two subgroups, with witness", subs=2, flags=_PREDICATE,
+          run=lambda args, h, k: _conjugator(args, sub.conjugacy_equivalent(h, k))),
+    _Verb("conj-into", "conjugacy into another subgroup, with witness", subs=2,
+          flags=_PREDICATE, run=lambda args, k, h: _conjugator(args, sub.conjugate_into(k, h))),
+    _Verb("power", "least positive power lying in the subgroup", _power, word=True,
+          flags=(_JSON,)),
+    _Verb("hall", "finite-index completion avoiding a word", _hall, word=True,
+          flags=(_JSON, _DOT)),
     _Verb("join", "subgroup generated by two subgroups",
-          lambda args, h, k: _emit_graph(args, sub.join(h, k)), subs=2),
+          lambda args, h, k: _emit_graph(args, sub.join(h, k)), subs=2, flags=(_DOT,)),
     _Verb("intersect", "intersection of two subgroups",
-          lambda args, h, k: _emit_graph(args, meet.intersection(h, k)), subs=2),
+          lambda args, h, k: _emit_graph(args, meet.intersection(h, k)), subs=2, flags=(_DOT,)),
     _Verb("components", "component reports of the product graph", _components, subs=2),
-    _Verb("malnormal", "malnormality test, with witness", _malnormal),
+    _Verb("malnormal", "malnormality test, with witness", _malnormal, flags=_PREDICATE),
     _Verb("cyclonormal", "cyclonormality test",
-          lambda args, g: _answer(args, meet.is_cyclonormal(g))),
-    _Verb("immersed", "no-cancellation test for a generating tuple",
-          lambda args, gens: _answer(args, meet.is_immersed(gens)), generators=True),
-    _Verb("hn-check", "intersection rank inequality probe",
-          lambda args, h, k: _answer(args, meet.hanna_neumann_check(h, k)), subs=2),
+          lambda args, g: _answer(args, meet.is_cyclonormal(g)), flags=_PREDICATE),
+    _Verb("immersed", "no-cancellation test for a generating tuple", generators=True,
+          flags=_PREDICATE, run=lambda args, gens: _answer(args, meet.is_immersed(gens))),
+    _Verb("hn-check", "intersection rank inequality probe", subs=2, flags=_PREDICATE,
+          run=lambda args, h, k: _answer(args, meet.hanna_neumann_check(h, k))),
     _Verb("free-factor", "free factor test", _free_factor, flags=(
+        *_PREDICATE,
         _flag("--ambient", action="store_true", help="test against the whole group"),
         _flag("--in", dest="inside", metavar="SUB", help="test inside this subgroup"),
         _flag("--plateau-budget", type=int, default=DEFAULT_PLATEAU_BUDGET, help=_IGNORED),
     )),
     _Verb("quotients", "principal quotients of the subgroup graph",
           lambda args, k: _emit_records(pq.graph for pq in ext.principal_quotients(k))),
-    _Verb("ext-type", "classify an extension K <= H as algebraic or free", _ext_type, subs=2),
+    _Verb("ext-type", "classify an extension K <= H as algebraic or free", _ext_type, subs=2,
+          flags=(_JSON,)),
     _Verb("extensions", "all algebraic extensions",
           lambda args, k: _emit_records(ext.algebraic_extensions(k))),
-    _Verb("closure", "algebraic, malnormal, or isolated closure", _closure,
+    _Verb("closure", "algebraic, malnormal, or isolated closure", _closure, flags=(_DOT,),
           one_of=("--algebraic", "--malnormal", "--isolated")),
     _Verb("isolated", "isolation (root-closure) test", _isolated, flags=(
-        _flag("--depth", type=int, help=_IGNORED),
+        *_PREDICATE, _flag("--depth", type=int, help=_IGNORED),
     )),
-    _Verb("dot", "DOT export of the subgroup graph", _dot),
+    _Verb("dot", "DOT export of the subgroup graph", _dot, flags=(_DOT,)),
 )}
 
 
@@ -348,18 +363,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Subgroups of free groups as folded core graphs.",
     )
     parser.add_argument("--alphabet", required=True, help="generator letters, e.g. ab")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--sub", action="append", default=[],
-                        help="subgroup: comma-separated words, inline JSON, or a .json path")
-    common.add_argument("--word", help="a word argument, e.g. abA")
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--strict", action="store_true",
-                        help="exit 1 when a predicate answers no")
-    common.add_argument("--dot", metavar="PATH", help="also write the result graph as DOT")
-
     verbs = parser.add_subparsers(dest="verb", required=True)
     for verb in _VERBS.values():
-        p = verbs.add_parser(verb.name, parents=[common], help=verb.help)
+        p = verbs.add_parser(verb.name, help=verb.help)
+        if verb.subs:
+            p.add_argument("--sub", action="append", default=[],
+                           help="subgroup: comma-separated words, inline JSON, or a .json path")
+        if verb.word:
+            p.add_argument("--word", help="a word argument, e.g. abA")
         for names, kwargs in verb.flags:
             p.add_argument(*names, **kwargs)
         if verb.one_of:

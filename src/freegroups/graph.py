@@ -175,12 +175,10 @@ class Subgraph(NamedTuple):
 
 def is_folded(g: XDigraph) -> bool:
     """True iff no vertex has two outgoing half-edges with equal signed label."""
-    seen: set[tuple[int, int]] = set()
-    for o, x, t in g.edges:
-        for key in ((o, 2 * x), (t, 2 * x + 1)):
-            if key in seen:
-                return False
-            seen.add(key)
+    try:
+        g.step_maps()
+    except InvalidInputError:
+        return False
     return True
 
 
@@ -352,14 +350,20 @@ def core(g: XDigraph, v: int) -> CoreResult:
 def trace_path(g: XDigraph, start: int, w: Word) -> Optional[int]:
     """Endpoint of the path labeled ``w`` from ``start`` in a folded graph,
     or ``None`` if the path cannot be continued."""
-    steps = g.step_maps()
-    v = start
-    for code in w.codes:
+    v, n = _read(g.step_maps(), start, w.codes)
+    return v if n == len(w.codes) else None
+
+
+def _read(steps: list[dict[int, int]], v: int, codes: tuple[int, ...]) -> tuple[int, int]:
+    """Read ``codes`` from ``v`` as far as the step maps allow: the vertex
+    reached and the number of codes read."""
+    rest = iter(codes)
+    for code in rest:
         nxt = steps[v].get(code)
         if nxt is None:
-            return None
+            return v, len(codes) - 1 - len(list(rest))
         v = nxt
-    return v
+    return v, len(codes)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from .graph import (
     XDigraph,
     _core_numbering,
     _fold,
+    _read,
     based_isomorphism,
     canonical_morphism,
     is_regular,
@@ -525,17 +526,9 @@ def conjugate(g: SubgroupGraph, w: Word) -> SubgroupGraph:
     """
     if w.alphabet != g.alphabet:
         raise AlphabetMismatchError("conjugator and subgroup use different alphabets")
-    codes = w.codes
     steps = g.graph.step_maps()
-    u = g.base
-    i = len(codes)
-    while i > 0:
-        nxt = steps[u].get(codes[i - 1] ^ 1)
-        if nxt is None:
-            break
-        u = nxt
-        i -= 1
-    y = codes[:i]  # unread head; attach its inverse as a stem
+    u, n = _read(steps, g.base, invert(w).codes)
+    y = w.codes[:len(w.codes) - n]  # unread head; attach its inverse as a stem
     if y:
         steps = list(steps)
         steps[u] = dict(steps[u])
@@ -647,15 +640,7 @@ def hall_completion(h: SubgroupGraph, g: Word) -> HallCompletion:
     if contains(h, g):
         raise InvalidInputError("Hall completion needs an element outside H")
     graph = h.graph
-    steps = graph.step_maps()
-    v = h.base
-    i = 0
-    while i < len(g.codes):
-        nxt = steps[v].get(g.codes[i])
-        if nxt is None:
-            break
-        v = nxt
-        i += 1
+    v, i = _read(graph.step_maps(), h.base, g.codes)
     chain: list[Edge] = []
     n = _spell_path(chain, v, g.codes[i:], graph.vertex_count)
     complete = regular_complete(XDigraph(graph.alphabet, n, graph.edges + tuple(chain)))

@@ -58,10 +58,15 @@ ABC = Alphabet.from_string("abc")
 A1 = Alphabet.from_string("a")
 
 
+def cli_parsers() -> dict[str, argparse.ArgumentParser]:
+    """The subcommand parsers of ``fg``, by verb, in its order."""
+    (action,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
 def cli_verbs() -> tuple[str, ...]:
     """The subcommands of the ``fg`` parser, in its order."""
-    (action,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    return tuple(action.choices)
+    return tuple(cli_parsers())
 
 
 def rand_word(rng: Random, alphabet: Alphabet, max_len: int, nontrivial: bool = False) -> Word:

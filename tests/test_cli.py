@@ -3,6 +3,7 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from typing import NamedTuple, Optional
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from freegroups.cli import main
 
-from helpers import cli_verbs
+from helpers import cli_parsers
 
 
 def run(capsys, *argv):
@@ -140,6 +141,10 @@ def test_free_factor_verbs(capsys):
     assert (code, out) == (0, "yes\n")
     code, out, _ = run(capsys, "--alphabet", "ab", "free-factor", "--sub", "aa", "--in", "a")
     assert (code, out) == (0, "no\n")
+    # the two tests are alternatives: asking for both is a usage error
+    code, out, err = run(capsys, "--alphabet", "ab", "free-factor", "--sub", "a", "--ambient",
+                         "--in", "b")
+    assert (code, out) == (2, "") and "--ambient" in err and "--in" in err
 
 
 def test_dot_verb(capsys, tmp_path):
@@ -148,6 +153,20 @@ def test_dot_verb(capsys, tmp_path):
     path = tmp_path / "g.dot"
     code, out, _ = run(capsys, "--alphabet", "ab", "dot", "--sub", "aa", "--dot", str(path))
     assert code == 0 and out == "" and path.read_text().count("->") == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph", "--sub", "aab,ba"],
+    ["member", "--sub", "aab,ba", "--word", "aab"],
+    ["basis", "--geodesic", "--sub", "aab,ba"],
+    ["conjugate", "--sub", "aab,ba", "--word", "bA"],
+    ["hall", "--json", "--sub", "aab,ba", "--word", "b"],
+])
+def test_benchmark_command_lines(capsys, argv):
+    # the command shapes of perfbench's build workload: a verb that stopped
+    # taking one of these options would show there only as failed operations
+    code, out, err = run(capsys, "--alphabet", "ab", *argv)
+    assert (code, err) == (0, "") and out
 
 
 def test_usage_errors_exit_2(capsys):
@@ -305,30 +324,63 @@ def test_dot_into_missing_directory_exit_2(capsys, tmp_path, verb):
 
 # -- fuzzing the exit-code contract --------------------------------------------
 
-VERBS = (
-    "reduce", "graph", "member", "basis", "rank", "index", "normal", "conjugate",
-    "conj-equiv", "conj-into", "power", "hall", "join", "intersect", "components",
-    "malnormal", "cyclonormal", "immersed", "hn-check", "free-factor", "quotients",
-    "ext-type", "extensions", "closure", "isolated", "dot",
-)
-SUB_COUNTS = {"reduce": 0, "conj-equiv": 2, "conj-into": 2, "join": 2, "intersect": 2,
-              "components": 2, "hn-check": 2, "ext-type": 2}  # otherwise 1
-WORD_VERBS = {"reduce", "member", "conjugate", "power", "hall"}
-OWN_FLAGS = {"basis": ("--geodesic",), "isolated": ("--depth",)}
-CHOICE_FLAGS = {"closure": ("--algebraic", "--malnormal", "--isolated"),
-                "free-factor": ("--ambient", "--in")}
+class Spec(NamedTuple):
+    subs: int  # how many --sub a well-formed line passes
+    options: tuple[str, ...]  # as the verb's parser lists them, without -h
+    one_of: tuple[str, ...] = ()  # a well-formed line passes exactly one of these
+
+
+PREDICATE = ("--json", "--strict")
+SPECS = {
+    "reduce": Spec(0, ("--word",)),
+    "graph": Spec(1, ("--sub", "--dot")),
+    "member": Spec(1, ("--sub", "--word", *PREDICATE)),
+    "basis": Spec(1, ("--sub", "--json", "--geodesic")),
+    "rank": Spec(1, ("--sub",)),
+    "index": Spec(1, ("--sub", "--json")),
+    "normal": Spec(1, ("--sub", *PREDICATE)),
+    "conjugate": Spec(1, ("--sub", "--word", "--dot")),
+    "conj-equiv": Spec(2, ("--sub", *PREDICATE)),
+    "conj-into": Spec(2, ("--sub", *PREDICATE)),
+    "power": Spec(1, ("--sub", "--word", "--json")),
+    "hall": Spec(1, ("--sub", "--word", "--json", "--dot")),
+    "join": Spec(2, ("--sub", "--dot")),
+    "intersect": Spec(2, ("--sub", "--dot")),
+    "components": Spec(2, ("--sub",)),
+    "malnormal": Spec(1, ("--sub", *PREDICATE)),
+    "cyclonormal": Spec(1, ("--sub", *PREDICATE)),
+    "immersed": Spec(1, ("--sub", *PREDICATE)),
+    "hn-check": Spec(2, ("--sub", *PREDICATE)),
+    "free-factor": Spec(1, ("--sub", *PREDICATE, "--ambient", "--in", "--plateau-budget"),
+                        ("--ambient", "--in")),
+    "quotients": Spec(1, ("--sub",)),
+    "ext-type": Spec(2, ("--sub", "--json")),
+    "extensions": Spec(1, ("--sub",)),
+    "closure": Spec(1, ("--sub", "--dot", "--algebraic", "--malnormal", "--isolated"),
+                    ("--algebraic", "--malnormal", "--isolated")),
+    "isolated": Spec(1, ("--sub", *PREDICATE, "--depth")),
+    "dot": Spec(1, ("--sub", "--dot")),
+}
+VERBS = tuple(SPECS)
+ALL_OPTIONS = sorted({option for spec in SPECS.values() for option in spec.options})
 GRAPH_CORPUS = [json.dumps(ROSE_A), "{", "missing.json", ""] + [
     json.dumps({**ROSE_A, field: value}) for field, value in MALFORMED_FIELDS
 ]
 # a well-formed command line, or one with a single fault of each kind
 FAULTS = (None,) * 6 + ("alphabet", "graph json", "sub count", "flag", "word", "number",
-                        "dot file")
+                        "dot file", "unread option")
 NUMBERS = st.one_of(st.integers(0, 60).map(str), st.sampled_from(["-1", "", "x", "1.5"]))
 
 
 def test_fuzz_covers_every_verb():
-    # the spec above is kept by hand: a verb added to the parser without it fails here
-    assert VERBS == cli_verbs()
+    # the spec above is kept by hand: a verb or option added to the parser
+    # without it fails here
+    parsers = cli_parsers()
+    assert VERBS == tuple(parsers)
+    for verb, parser in parsers.items():
+        options = tuple(s for a in parser._actions for s in a.option_strings
+                        if s not in ("-h", "--help"))
+        assert options == SPECS[verb].options, verb
 
 
 # subgroups on which the old plateau sweep exceeded --plateau-budget 1
@@ -346,20 +398,21 @@ def bad_paths(tmp_path_factory) -> dict[str, list[str]]:
 
 
 @st.composite
-def cli_argv(draw, verb: str, bad_paths: dict[str, list[str]]) -> list[str]:
+def cli_argv(draw, verb: str, bad_paths: dict[str, list[str]], fault: Optional[str]) -> list[str]:
     """An fg command line with random words, subgroups and budget flags:
-    well formed for its verb, or with one fault drawn from FAULTS.  The
-    second subgroup of ``ext-type`` and the ``--in`` subgroup contain
-    the first, as those verbs require, unless a fault intervenes.  Faulty
-    graph inputs include unreadable files, and a file fault writes
-    ``--dot`` into a missing directory."""
+    well formed for its verb, drawing only the options it declares, or
+    with the one ``fault``.  The second subgroup of ``ext-type`` and the
+    ``--in`` subgroup contain the first, as those verbs require, unless
+    a fault intervenes.  Faulty graph inputs include unreadable files, a
+    file fault writes ``--dot`` into a missing directory, and an unread
+    option is one that the verb does not declare."""
+    spec = SPECS[verb]
     alphabet = draw(st.sampled_from(["ab", "ab", "ab", "abc"]))
     letters = alphabet + alphabet.upper()
     subgroup = st.lists(
         st.text(alphabet=letters, min_size=1, max_size=4), min_size=1, max_size=3
     ).map(",".join)
-    fault = draw(st.sampled_from(FAULTS))
-    count = SUB_COUNTS.get(verb, 1)
+    count = spec.subs
     if fault == "sub count":
         count = draw(st.sampled_from([n for n in range(4) if n != count]))
     subs = [draw(subgroup) for _ in range(count)]
@@ -372,29 +425,33 @@ def cli_argv(draw, verb: str, bad_paths: dict[str, list[str]]) -> list[str]:
         subs[draw(st.integers(0, len(subs) - 1))] = draw(st.sampled_from(corpus))
     argv = ["--alphabet", draw(st.sampled_from(["", "aB", "a1"])) if fault == "alphabet"
             else alphabet, verb]
-    for spec in subs:
-        argv += ["--sub", spec]
-    if verb in WORD_VERBS or fault == "word":
+    for text in subs:
+        argv += ["--sub", text]
+    if "--word" in spec.options:
         text = draw(st.text(alphabet=letters, max_size=5))
         argv += ["--word", draw(st.sampled_from([text + "!", "c" + text, text])) if fault == "word"
                  else text]
-    flags = list(draw(st.lists(st.sampled_from(("--json", "--strict")), unique=True)))
-    flags += draw(st.lists(st.sampled_from(OWN_FLAGS.get(verb, ("--json",))), unique=True))
-    if verb in CHOICE_FLAGS:
-        flags.append(draw(st.sampled_from(CHOICE_FLAGS[verb])))
-    if verb == "free-factor" and draw(st.booleans()):
-        flags.append("--plateau-budget")
-    if fault == "dot file":
+    if fault == "dot file" and "--dot" in spec.options:
         argv += ["--dot", draw(st.sampled_from(bad_paths["dot"]))]
+    plain = [o for o in spec.options if o not in ("--sub", "--word", "--dot", *spec.one_of)]
+    flags = list(draw(st.lists(st.sampled_from(plain), unique=True))) if plain else []
+    if spec.one_of:
+        flags.append(draw(st.sampled_from(spec.one_of)))
     if fault == "flag":
         flags.append(draw(st.sampled_from(("--geodesic", "--depth", "--plateau-budget",
                                            "--algebraic", "--ambient", "--in"))))
+    if fault == "unread option":
+        flags.append(draw(st.sampled_from([o for o in ALL_OPTIONS if o not in spec.options])))
     for flag in flags:
         argv.append(flag)
-        if flag == "--in":
+        if flag in ("--in", "--sub"):
             argv.append(",".join(subs[:1] + [draw(subgroup)]))
         elif flag in ("--depth", "--plateau-budget"):
             argv.append(draw(NUMBERS) if fault == "number" else draw(st.integers(0, 60).map(str)))
+        elif flag == "--word":
+            argv.append(draw(st.text(alphabet=letters, max_size=5)))
+        elif flag == "--dot":
+            argv.append(draw(st.sampled_from(bad_paths["dot"])))
     return argv
 
 
@@ -402,8 +459,10 @@ def cli_argv(draw, verb: str, bad_paths: dict[str, list[str]]) -> list[str]:
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_cli_fuzz_exit_codes(verb, bad_paths, data):
-    # every run ends in 0, 1, 2 or 3 with a message, never a traceback
-    argv = data.draw(cli_argv(verb, bad_paths), label="argv")
+    # every run ends in 0, 1, 2 or 3 with a message, never a traceback;
+    # an option the verb does not read is a usage error
+    fault = data.draw(st.sampled_from(FAULTS), label="fault")
+    argv = data.draw(cli_argv(verb, bad_paths, fault), label="argv")
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
@@ -411,6 +470,8 @@ def test_cli_fuzz_exit_codes(verb, bad_paths, data):
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
     assert code in (0, 1, 2, 3)
+    if fault == "unread option":
+        assert code == 2 and "unrecognized arguments" in err.getvalue()
     if code in (2, 3):
         assert err.getvalue().strip()
     else:
