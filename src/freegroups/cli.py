@@ -357,15 +357,18 @@ def _operands(verb: _Verb, args, alphabet: Alphabet) -> list:
 def _build_parser() -> argparse.ArgumentParser:
     """The ``fg`` parser, built once per process from ``_VERBS``:
     parsing leaves it unchanged, and argparse copies the ``--sub`` list
-    default before appending to it."""
+    default before appending to it.  Options must be spelled in full: a
+    prefix is a usage error, so adding an option never changes what an
+    existing command line means."""
     parser = argparse.ArgumentParser(
         prog="fg",
         description="Subgroups of free groups as folded core graphs.",
+        allow_abbrev=False,
     )
     parser.add_argument("--alphabet", required=True, help="generator letters, e.g. ab")
     verbs = parser.add_subparsers(dest="verb", required=True)
     for verb in _VERBS.values():
-        p = verbs.add_parser(verb.name, help=verb.help)
+        p = verbs.add_parser(verb.name, help=verb.help, allow_abbrev=False)
         if verb.subs:
             p.add_argument("--sub", action="append", default=[],
                            help="subgroup: comma-separated words, inline JSON, or a .json path")

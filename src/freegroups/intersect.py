@@ -14,7 +14,7 @@ probe for intersections.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import AlphabetMismatchError, InvalidInputError
 from .graph import XDigraph, _star_masks
@@ -72,6 +72,12 @@ class ComponentReport:
     its core at any vertex.  For a component away from the base pair
     with positive rank, ``double_coset_witness`` is a verified g with
     ``g H g^-1 n K`` nontrivial and g outside the base double coset.
+
+    A report from ``component_analysis`` builds ``component`` the first
+    time it is read and keeps it; until then it holds only the
+    component's pair ids.  Equality, hashing, ``repr``, pickling and
+    copying read ``component``, so a report compares, prints and copies
+    the same built or not.
     """
 
     component: XDigraph
@@ -79,6 +85,37 @@ class ComponentReport:
     representative_vertex: tuple[int, int]
     rank: int
     double_coset_witness: Optional[Word]
+
+    @classmethod
+    def _lazy(
+        cls, build: Callable[[list[int]], XDigraph], pairs: list[int],
+        contains_base_pair: bool, representative_vertex: tuple[int, int], rank: int,
+        double_coset_witness: Optional[Word],
+    ) -> "ComponentReport":
+        """A report whose ``component`` is ``build(pairs)``, built on first read."""
+        report = object.__new__(cls)
+        report.__dict__.update(
+            _pending=(build, pairs), contains_base_pair=contains_base_pair,
+            representative_vertex=representative_vertex, rank=rank,
+            double_coset_witness=double_coset_witness,
+        )
+        return report
+
+    def __getattr__(self, name: str):
+        # reached only while ``component`` is not in the instance yet
+        pending = self.__dict__.pop("_pending", None) if name == "component" else None
+        if pending is None:
+            raise AttributeError(name)
+        build, pairs = pending
+        graph = build(pairs)
+        object.__setattr__(self, "component", graph)
+        return graph
+
+    def __reduce__(self):
+        return type(self), (
+            self.component, self.contains_base_pair, self.representative_vertex,
+            self.rank, self.double_coset_witness,
+        )
 
 
 def _product_components(
@@ -152,9 +189,13 @@ def component_analysis(h: SubgroupGraph, k: SubgroupGraph) -> list[ComponentRepo
 
     The components are walked over the step maps of both graphs, in
     order of least product vertex, without building the product.
-    Witnesses are ``g = tau * sigma^-1`` built from geodesic tree paths
-    to the representative pair, kept short on purpose, and each is
-    verified by intersecting the conjugate before it is reported.
+    Each report keeps its component's pair ids; the component's graph
+    is renumbered along the sorted ids and built only when the report's
+    ``component`` is first read, from the step maps that all reports of
+    the call share.  Witnesses are ``g = tau * sigma^-1`` built from
+    geodesic tree paths to the representative pair (one tree when
+    ``k is h``), kept short on purpose, and each is verified by
+    intersecting the conjugate before it is reported.
     """
     if h.alphabet != k.alphabet:
         raise AlphabetMismatchError("subgroups use different alphabets")
@@ -163,22 +204,15 @@ def component_analysis(h: SubgroupGraph, k: SubgroupGraph) -> list[ComponentRepo
     # nontrivial elements of a conjugate intersection.  Conversely a g
     # whose conjugate meets K nontrivially always lights up such a
     # component, so no separate free-product criterion is exposed.
-    # positive steps, sorted: each edge is read once, at its origin, and in order
-    h_out = [sorted((c, w) for c, w in m.items() if not c & 1) for m in h.graph.step_maps()]
-    k_steps, nk = k.graph.step_maps(), k.vertex_count
-    trees: Optional[tuple[SpanningTree, SpanningTree]] = None
-    reports = []
-    for pairs, edge_count, has_base in _product_components(
-        h.graph, k.graph, (h.base, k.base)
-    ):
-        comp_rank = edge_count - len(pairs) + 1
-        v, u = divmod(pairs[0], nk)
-        witness = None
-        if not has_base and comp_rank > 0:
-            if trees is None:
-                trees = spanning_tree(h, geodesic=True), spanning_tree(k, geodesic=True)
-            witness = _witness(h, k, *trees, v, u)
-        # the component's graph, renumbered along its sorted pair ids
+    h_steps, k_steps, nk = h.graph.step_maps(), k.graph.step_maps(), k.vertex_count
+    h_out: Optional[list[list[tuple[int, int]]]] = None
+
+    def component(pairs: list[int]) -> XDigraph:
+        """The component's graph, renumbered along its sorted pair ids."""
+        nonlocal h_out
+        if h_out is None:
+            # positive steps, sorted: each edge is read once, at its origin, and in order
+            h_out = [sorted((c, w) for c, w in m.items() if not c & 1) for m in h_steps]
         pairs.sort()
         renum = {p: i for i, p in enumerate(pairs)}
         edges = []
@@ -189,8 +223,22 @@ def component_analysis(h: SubgroupGraph, k: SubgroupGraph) -> list[ComponentRepo
                 y2 = at.get(code)
                 if y2 is not None:
                     edges.append((i, code >> 1, renum[x2 * nk + y2]))
-        graph = XDigraph._trusted(h.alphabet, len(pairs), tuple(edges))
-        reports.append(ComponentReport(graph, has_base, (v, u), comp_rank, witness))
+        return XDigraph._trusted(h.alphabet, len(pairs), tuple(edges))
+
+    trees: Optional[tuple[SpanningTree, SpanningTree]] = None
+    reports = []
+    for pairs, edge_count, has_base in _product_components(
+        h.graph, k.graph, (h.base, k.base)
+    ):
+        comp_rank = edge_count - len(pairs) + 1
+        v, u = divmod(pairs[0], nk)
+        witness = None
+        if not has_base and comp_rank > 0:
+            if trees is None:
+                tree_h = spanning_tree(h, geodesic=True)
+                trees = tree_h, tree_h if k is h else spanning_tree(k, geodesic=True)
+            witness = _witness(h, k, *trees, v, u)
+        reports.append(ComponentReport._lazy(component, pairs, has_base, (v, u), comp_rank, witness))
     return reports
 
 

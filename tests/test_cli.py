@@ -368,7 +368,7 @@ GRAPH_CORPUS = [json.dumps(ROSE_A), "{", "missing.json", ""] + [
 ]
 # a well-formed command line, or one with a single fault of each kind
 FAULTS = (None,) * 6 + ("alphabet", "graph json", "sub count", "flag", "word", "number",
-                        "dot file", "unread option")
+                        "dot file", "unread option", "abbreviated option")
 NUMBERS = st.one_of(st.integers(0, 60).map(str), st.sampled_from(["-1", "", "x", "1.5"]))
 
 
@@ -404,8 +404,9 @@ def cli_argv(draw, verb: str, bad_paths: dict[str, list[str]], fault: Optional[s
     with the one ``fault``.  The second subgroup of ``ext-type`` and the
     ``--in`` subgroup contain the first, as those verbs require, unless
     a fault intervenes.  Faulty graph inputs include unreadable files, a
-    file fault writes ``--dot`` into a missing directory, and an unread
-    option is one that the verb does not declare."""
+    file fault writes ``--dot`` into a missing directory, an unread
+    option is one that the verb does not declare, and an abbreviated
+    option is a declared one cut short."""
     spec = SPECS[verb]
     alphabet = draw(st.sampled_from(["ab", "ab", "ab", "abc"]))
     letters = alphabet + alphabet.upper()
@@ -452,6 +453,11 @@ def cli_argv(draw, verb: str, bad_paths: dict[str, list[str]], fault: Optional[s
             argv.append(draw(st.text(alphabet=letters, max_size=5)))
         elif flag == "--dot":
             argv.append(draw(st.sampled_from(bad_paths["dot"])))
+    if fault == "abbreviated option":
+        # outside the one-of groups, whose missing member argparse reports first
+        at = draw(st.sampled_from([i for i, a in enumerate(argv[3:], 3)
+                                   if a.startswith("--") and a not in spec.one_of]))
+        argv[at] = argv[at][:draw(st.integers(3, len(argv[at]) - 1))]
     return argv
 
 
@@ -460,7 +466,8 @@ def cli_argv(draw, verb: str, bad_paths: dict[str, list[str]], fault: Optional[s
 @given(data=st.data())
 def test_cli_fuzz_exit_codes(verb, bad_paths, data):
     # every run ends in 0, 1, 2 or 3 with a message, never a traceback;
-    # an option the verb does not read is a usage error
+    # an option the verb does not read, or a prefix of one it does, is a
+    # usage error
     fault = data.draw(st.sampled_from(FAULTS), label="fault")
     argv = data.draw(cli_argv(verb, bad_paths, fault), label="argv")
     out, err = io.StringIO(), io.StringIO()
@@ -470,7 +477,7 @@ def test_cli_fuzz_exit_codes(verb, bad_paths, data):
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
     assert code in (0, 1, 2, 3)
-    if fault == "unread option":
+    if fault in ("unread option", "abbreviated option"):
         assert code == 2 and "unrecognized arguments" in err.getvalue()
     if code in (2, 3):
         assert err.getvalue().strip()

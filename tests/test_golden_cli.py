@@ -126,7 +126,7 @@ def _f2_cases() -> list[list[str]]:
     cases = [
         ["reduce", "--word", "a bB aa"], ["reduce", "--word", "aA"],
         ["reduce", "--sub", "x!", "--word", "ab"],
-        # argparse resolves a prefix that only one of the verb's options has
+        # a prefix of an option, even one only that option has, is a usage error
         ["isolated", "--sub", "ab", "--d", "3"],
     ]
     for s in ("", "aab,ba", "aa,b,abA", "bbAA", AAB_BA_JSON):

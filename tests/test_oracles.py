@@ -3,21 +3,26 @@
 The base-component intersection, the component walk behind the reports
 and the malnormal and cyclonormal tests, and the fused fold -> core ->
 canonical builds must give exactly what the full product graph and the
-unfused builds give.  The one-pass graph-JSON load must give what the
-load in separate passes gives, errors included.  The star-split sizes
-of Whitehead moves must match the built images, and the descent on
-cyclic cores must decide free factors as the descent on based graphs
-does.
+unfused builds give; a component report is the same value whether or
+not its graph has been built.  The one-pass graph-JSON load must give
+what the load in separate passes gives, errors included.  The
+star-split sizes of Whitehead moves must match the built images, and
+the descent on cyclic cores must decide free factors as the descent on
+based graphs does.
 """
 
+import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 from random import Random
 
 import networkx as nx
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -217,6 +222,55 @@ def test_self_product_walks_at_benchmark_sizes():
             answers.add((expected[0], cyclonormal))
     assert answers == {(True, True), (False, True), (False, False)}
     assert max(sizes) >= 48
+
+
+def test_reports_are_values_before_and_after_their_graph_is_built():
+    # <u, v> and its conjugate by g: a self-product whose reports carry witnesses
+    h = _self_product_sized(Random(7), ["aab", "abb", "babaabBAB", "bababbBAB"], 12)
+    oracle = component_analysis_by_full_product(h, h)
+    assert any(r.double_coset_witness is not None for r in oracle)
+    for read in (False, True):
+        for forward in (True, False):
+            reports = component_analysis(h, h)
+            if read:
+                [r.component for r in reports]
+            assert (reports == oracle) if forward else (oracle == reports)
+    # the oracle's reports are built eagerly, from equal graphs
+    assert [hash(r) for r in component_analysis(h, h)] == [hash(r) for r in oracle]
+    assert [repr(r) for r in component_analysis(h, h)] == [repr(r) for r in oracle]
+    for read in (False, True):
+        reports = component_analysis(h, h)
+        if read:
+            [r.component for r in reports]
+        assert [pickle.loads(pickle.dumps(r)) for r in reports] == oracle
+        assert copy.deepcopy(reports) == oracle
+    report = component_analysis(h, h)[-1]
+    for field in ("component", "rank"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(report, field, None)
+    assert report.component is report.component
+    assert report == oracle[-1]
+
+
+def test_component_graphs_are_built_only_when_read(monkeypatch):
+    h = _self_product_sized(Random(3), [], 16)
+    trusted = XDigraph._trusted
+    calls = []
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args[1])
+        return trusted(*args, **kwargs)
+
+    monkeypatch.setattr(XDigraph, "_trusted", classmethod(counted))
+    reports = component_analysis(h, h)
+    # a malnormal subgroup: no witness is built, so nothing else wraps a graph
+    assert all(r.double_coset_witness is None for r in reports)
+    assert calls == [] and len(reports) > 300
+    for i, report in enumerate(reports[:40]):
+        first = report.component
+        assert report.component is first
+        assert calls[i:] == [first.vertex_count]
+    assert len(calls) == 40
 
 @st.composite
 def _multigraphs(draw):
