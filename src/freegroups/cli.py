@@ -151,8 +151,8 @@ def _components(args, h: SubgroupGraph, k: SubgroupGraph) -> None:
     records = []
     for report in meet.component_analysis(h, k):
         records.append({
-            "vertices": report.component.vertex_count,
-            "edges": len(report.component.edges),
+            "vertices": report.vertex_count,
+            "edges": report.rank + report.vertex_count - 1,
             "contains_base_pair": report.contains_base_pair,
             "representative_vertex": list(report.representative_vertex),
             "rank": report.rank,

@@ -71,9 +71,9 @@ def principal_quotients(
     epimorphism onto a folded graph factors through steps that identify
     two classes and fold, so kernels are enumerated from K's by such
     steps, each closed by ``graph._fold_merges``, the merge loop of
-    every fold, over the class step maps.  Images of core graphs stay
-    core.  Each graph is built once, at the end; every step is recorded
-    in ``step_sources``.
+    every fold, over a copy of the class step table.  Images of core
+    graphs stay core.  Each graph is built once, at the end; every step
+    is recorded in ``step_sources``.
     Includes the graph of K itself.  Ordered by decreasing vertex count,
     then canonical form.
     """
@@ -82,17 +82,16 @@ def principal_quotients(
             f"quotient enumeration is limited to {max_vertices} vertices "
             f"(got {k.vertex_count}); pass max_vertices to override"
         )
-    k_steps = k.graph.step_maps()
-    identity = tuple(range(k.vertex_count))
+    k_table, n = k.graph._step_table(), k.vertex_count
+    identity = tuple(range(n))
     sources: dict[tuple[int, ...], set[tuple[int, ...]]] = {identity: set()}
     stack = [identity]
     while stack:
         kernel = stack.pop()
-        steps = _class_steps(k_steps, kernel)
+        table = _class_steps(k_table, kernel)
         for a, b in combinations(sorted(set(kernel)), 2):
-            work = [dict(m) for m in steps]  # the merge loop moves maps into one another
             parent = list(identity)
-            _fold_merges(work, parent, [(a, b)])
+            _fold_merges(table[:], parent, [(a, b)])  # the merge loop writes into the rows
             merged = _kernel([_find(parent, c) for c in kernel])
             if merged not in sources:
                 sources[merged] = set()
@@ -100,9 +99,12 @@ def principal_quotients(
             sources[merged].add(kernel)
     found: dict[tuple[int, ...], PrincipalQuotient] = {}
     for kernel in sources:
-        graph, pos = _canonical_core(k.alphabet, _class_steps(k_steps, kernel), kernel[k.base])
+        graph, order = _canonical_core(
+            k.alphabet, _class_steps(k_table, kernel), n, kernel[k.base]
+        )
         if graph.vertex_count != len(set(kernel)):
             raise AssertionError("a quotient of a core graph must be core")
+        pos = {c: i for i, c in enumerate(order)}
         found[kernel] = PrincipalQuotient(graph, Morphism(tuple(pos[c] for c in kernel)))
     quotients = [
         replace(pq, step_sources=frozenset(found[s].graph.canonical_key() for s in srcs))
@@ -118,12 +120,16 @@ def _kernel(vertex_map: Sequence[int]) -> tuple[int, ...]:
     return tuple(least.setdefault(w, v) for v, w in enumerate(vertex_map))
 
 
-def _class_steps(steps: list[dict[int, int]], kernel: tuple[int, ...]) -> list[dict[int, int]]:
-    """Step maps of the quotient with this kernel, one per vertex of K:
-    the map of a class sits at its least vertex, the others are empty."""
-    out: list[dict[int, int]] = [{} for _ in kernel]
-    for v, m in enumerate(steps):
-        out[kernel[v]].update((code, kernel[w]) for code, w in m.items())
+def _class_steps(table: list[int], kernel: tuple[int, ...]) -> list[int]:
+    """Step table of the quotient with this kernel, a row per vertex of
+    K: the row of a class sits at its least vertex, the others are empty."""
+    width = len(table) // len(kernel)
+    out = [-1] * len(table)
+    for v, c in enumerate(kernel):
+        at = c * width
+        for code, w in enumerate(table[v * width:v * width + width]):
+            if w >= 0:
+                out[at + code] = kernel[w]
     return out
 
 
@@ -321,13 +327,13 @@ def is_isolated(
     resource-limit error.  ``depth_override`` is accepted for
     compatibility and has no effect.
     """
-    n = h.vertex_count
-    steps = h.graph.step_maps()
+    n, width = h.vertex_count, h.alphabet.num_codes
+    table = h.graph._step_table()
     # vertex n is a sink standing for "undefined", so that a partial
     # injection of the vertices becomes a total map on n + 1 points
     moves = [
-        tuple(steps[v].get(code, n) for v in range(n)) + (n,)
-        for code in range(h.alphabet.num_codes)
+        tuple(n if w < 0 else w for w in table[code::width]) + (n,)
+        for code in range(width)
     ]
     identity = tuple(range(n + 1))
     parent: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {identity: (identity, -1)}

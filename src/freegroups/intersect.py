@@ -4,7 +4,7 @@ The product of two subgroup graphs recognizes the intersection at the
 base pair; the remaining components describe intersections of
 conjugates, one double coset per component.  Neither is built from
 the product graph: the intersection walks only the base component,
-over the step maps of both graphs, and the other questions walk every
+over the step tables of both graphs, and the other questions walk every
 component the same way, one at a time, reading pair ids and edge
 counts.  This yields intersection computation, malnormality and
 cyclonormality tests, the immersion criterion, and the rank inequality
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import AlphabetMismatchError, InvalidInputError
-from .graph import XDigraph, _star_masks
+from .graph import XDigraph, _star_masks, _stars
 from .subgroup import (
     SpanningTree,
     SubgroupGraph,
@@ -35,33 +35,39 @@ def intersection(h: SubgroupGraph, k: SubgroupGraph) -> SubgroupGraph:
     product graph.  Always finite (Howson property).
 
     The component is reached by a breadth-first walk from the base pair
-    over the step maps of both graphs, so no other part of the product
+    over the step tables of both graphs, so no other part of the product
     is built; it is folded by construction, and the walk checks that
-    every step it records is undone by the inverse code.  The core is
-    then cut and renumbered in one more walk.
+    every step it records is undone by the inverse code.  The walk
+    writes the component's step table, in which the core is then cut
+    and renumbered in one more walk.
     """
     if h.alphabet != k.alphabet:
         raise AlphabetMismatchError("subgroups use different alphabets")
-    h_steps, k_steps = h.graph.step_maps(), k.graph.step_maps()
+    h_table, k_table = h.graph._step_table(), k.graph._step_table()
+    width, nk = h.alphabet.num_codes, k.vertex_count
     pairs = [(h.base, k.base)]
-    index = {pairs[0]: 0}
-    steps: list[dict[int, int]] = []
+    index = {h.base * nk + k.base: 0}  # pair (v, u) has id v * #V_k + u
+    table: list[int] = []
     for v, u in pairs:
-        at_k = k_steps[u]
-        here: dict[int, int] = {}
-        for code, v2 in h_steps[v].items():
-            u2 = at_k.get(code)
-            if u2 is None:
+        at_k = u * width
+        row = [-1] * width
+        for code, v2 in enumerate(h_table[v * width:v * width + width]):
+            if v2 < 0:
                 continue
-            if h_steps[v2].get(code ^ 1) != v or k_steps[u2].get(code ^ 1) != u:
+            u2 = k_table[at_k + code]
+            if u2 < 0:
+                continue
+            back = code ^ 1
+            if h_table[v2 * width + back] != v or k_table[u2 * width + back] != u:
                 raise AssertionError("a product of folded graphs must be folded")
-            j = index.get((v2, u2))
+            p = v2 * nk + u2
+            j = index.get(p)
             if j is None:
-                j = index[(v2, u2)] = len(pairs)
+                j = index[p] = len(pairs)
                 pairs.append((v2, u2))
-            here[code] = j
-        steps.append(here)
-    return _canonical_core(h.alphabet, steps, 0)[0]
+            row[code] = j
+        table += row
+    return _canonical_core(h.alphabet, table, len(pairs), 0)[0]
 
 
 @dataclass(frozen=True)
@@ -75,9 +81,10 @@ class ComponentReport:
 
     A report from ``component_analysis`` builds ``component`` the first
     time it is read and keeps it; until then it holds only the
-    component's pair ids.  Equality, hashing, ``repr``, pickling and
-    copying read ``component``, so a report compares, prints and copies
-    the same built or not.
+    component's pair ids, and ``vertex_count`` reads their number.
+    Equality, hashing, ``repr``, pickling and copying read
+    ``component``, so a report compares, prints and copies the same
+    built or not.
     """
 
     component: XDigraph
@@ -101,6 +108,12 @@ class ComponentReport:
         )
         return report
 
+    @property
+    def vertex_count(self) -> int:
+        """The component's vertex count, read without building it."""
+        pending = self.__dict__.get("_pending")
+        return self.component.vertex_count if pending is None else len(pending[1])
+
     def __getattr__(self, name: str):
         # reached only while ``component`` is not in the instance yet
         pending = self.__dict__.pop("_pending", None) if name == "component" else None
@@ -122,7 +135,7 @@ def _product_components(
     a: XDigraph, b: XDigraph, base_pair: tuple[int, int]
 ) -> Iterator[tuple[list[int], int, bool]]:
     """Components of the product of two folded graphs, walked over their
-    step maps without building the product.
+    step tables without building the product.
 
     The pair ``(v, u)`` has id ``v * #V_b + u``, so id order is the
     lexicographic order of pairs, which is the vertex order of
@@ -134,14 +147,13 @@ def _product_components(
     then in walk order), its edge count and whether it holds the base
     pair, so the stream follows the order of least product vertex.
     """
-    a_steps, b_steps = a.step_maps(), b.step_maps()
-    nb = b.vertex_count
-    a_stars = [tuple(m.items()) for m in a_steps]
-    b_masks = _star_masks(b_steps)
+    a_stars, a_masks = _stars(a)
+    b_masks = a_masks if b is a else _star_masks(b)
+    b_table, width, nb = b._step_table(), b.alphabet.num_codes, b.vertex_count
     base_id = base_pair[0] * nb + base_pair[1]
     seen = bytearray(a.vertex_count * nb)
     base_met = False
-    for v, a_mask in enumerate(_star_masks(a_steps)):
+    for v, a_mask in enumerate(a_masks):
         row = v * nb
         for u, b_mask in enumerate(b_masks):
             p = row + u
@@ -157,10 +169,10 @@ def _product_components(
             half_edges = 0  # each edge is met once from each end
             for q in comp:
                 x, y = divmod(q, nb)
-                at = b_steps[y]
+                at = y * width
                 for code, x2 in a_stars[x]:
-                    y2 = at.get(code)
-                    if y2 is not None:
+                    y2 = b_table[at + code]
+                    if y2 >= 0:
                         half_edges += 1
                         r = x2 * nb + y2
                         if not seen[r]:
@@ -187,12 +199,12 @@ def _witness(
 def component_analysis(h: SubgroupGraph, k: SubgroupGraph) -> list[ComponentReport]:
     """Reports for every component of the product of the two graphs.
 
-    The components are walked over the step maps of both graphs, in
+    The components are walked over the step tables of both graphs, in
     order of least product vertex, without building the product.
     Each report keeps its component's pair ids; the component's graph
     is renumbered along the sorted ids and built only when the report's
-    ``component`` is first read, from the step maps that all reports of
-    the call share.  Witnesses are ``g = tau * sigma^-1`` built from
+    ``component`` is first read, from the step tables that all reports
+    of the call share.  Witnesses are ``g = tau * sigma^-1`` built from
     geodesic tree paths to the representative pair (one tree when
     ``k is h``), kept short on purpose, and each is verified by
     intersecting the conjugate before it is reported.
@@ -204,24 +216,24 @@ def component_analysis(h: SubgroupGraph, k: SubgroupGraph) -> list[ComponentRepo
     # nontrivial elements of a conjugate intersection.  Conversely a g
     # whose conjugate meets K nontrivially always lights up such a
     # component, so no separate free-product criterion is exposed.
-    h_steps, k_steps, nk = h.graph.step_maps(), k.graph.step_maps(), k.vertex_count
+    k_table, width, nk = k.graph._step_table(), k.alphabet.num_codes, k.vertex_count
     h_out: Optional[list[list[tuple[int, int]]]] = None
 
     def component(pairs: list[int]) -> XDigraph:
         """The component's graph, renumbered along its sorted pair ids."""
         nonlocal h_out
         if h_out is None:
-            # positive steps, sorted: each edge is read once, at its origin, and in order
-            h_out = [sorted((c, w) for c, w in m.items() if not c & 1) for m in h_steps]
+            # positive steps, in code order: each edge is read once, at its origin, and in order
+            h_out = [[(c, w) for c, w in star if not c & 1] for star in _stars(h.graph)[0]]
         pairs.sort()
         renum = {p: i for i, p in enumerate(pairs)}
         edges = []
         for i, p in enumerate(pairs):
             x, y = divmod(p, nk)
-            at = k_steps[y]
+            at = y * width
             for code, x2 in h_out[x]:
-                y2 = at.get(code)
-                if y2 is not None:
+                y2 = k_table[at + code]
+                if y2 >= 0:
                     edges.append((i, code >> 1, renum[x2 * nk + y2]))
         return XDigraph._trusted(h.alphabet, len(pairs), tuple(edges))
 

@@ -4,16 +4,20 @@
 attached to a finitely generated subgroup H <= F(X).  Vertices are
 renumbered breadth-first from the base with signed-letter tie-breaking,
 so equal subgroups produce identical objects and serialized output is
-reproducible; the base vertex is always 0.  One walk over step maps,
-``graph._core_numbering``, cuts the core, numbers it and emits its
-edges in order.  The constructor runs it after validating its input,
-unless one cheaper walk (``_is_canonical``) finds the input numbered
-already; the constructions here run it on maps checked once, and skip
-the checks.
+reproducible; the base vertex is always 0.  Every algorithm here reads
+the graph's step table (see ``freegroups.graph``): one list with a row
+of ``2 * #X`` slots per vertex, each holding the neighbour its signed
+code leads to or ``-1``.  One walk over a step table,
+``graph._core_numbering``, cuts the core, numbers it, emits its edges
+in order and writes its table, which the canonical graph keeps.  The
+constructor runs it after validating its input, unless one cheaper
+walk (``_is_canonical``) finds the input numbered already, in which
+case the input's edge tuple and checked table are kept; the
+constructions here run it on tables checked once, and skip the checks.
 Constructions that fold (generators, joins) share one path,
-``_fold_core``: ``graph._fold`` folds the edge list and checks its step
-maps once, and the walk reads them where they lie.  A conjugating stem
-cannot fold, so ``conjugate`` adds it to the step maps directly.
+``_fold_core``: ``graph._fold`` folds the edge list into a table and
+checks it once, and the walk reads it where it lies.  A conjugating
+stem cannot fold, so ``conjugate`` extends a copy of the table.
 
 Algorithms here cover construction by folding, membership, spanning
 trees and free bases, Schreier rewriting, rank, index and cosets,
@@ -40,6 +44,7 @@ from .graph import (
     _core_numbering,
     _fold,
     _read,
+    _rows,
     based_isomorphism,
     canonical_morphism,
     is_regular,
@@ -59,7 +64,7 @@ class SubgroupGraph:
     Two instances compare equal iff they are based-isomorphic, i.e. iff
     they describe the same subgroup.  The constructor checks the graph
     and numbers it with ``_canonical_core``; input already in canonical
-    numbering is kept, with its edge tuple and the step maps of the check.
+    numbering is kept, with its edge tuple and the step table of the check.
     """
 
     __slots__ = ("graph",)
@@ -71,23 +76,24 @@ class SubgroupGraph:
         and number it canonically.
 
         Input already in canonical numbering, such as the JSON ``fg
-        graph`` writes, is recognised by one walk over the step maps of
+        graph`` writes, is recognised by one walk over the step table of
         the foldedness check (``_is_canonical``) and kept as it is: its
-        edge tuple and those maps.  Any other input goes through
+        edge tuple and that table.  Any other input goes through
         ``_canonical_core``, which renumbers it, and whose walk also
         shows a graph that is not connected or not a core.
         """
         if not 0 <= base < graph.vertex_count:
             raise InvalidInputError(f"base vertex {base} out of range")
-        if graph.vertex_count > len(graph.edges) + 1:  # before a dict per vertex
+        if graph.vertex_count > len(graph.edges) + 1:  # before the table
             raise InvalidInputError("subgroup graph must be connected")
-        steps = graph.step_maps()  # raises if not folded
-        graph._steps = None  # one copy of the maps lives at a time
-        if base == 0 and _is_canonical(steps):
-            self.graph = XDigraph._trusted(graph.alphabet, graph.vertex_count, graph.edges, steps)
+        table = graph._step_table()  # raises if not folded
+        graph._steps = None  # one copy of the table lives at a time
+        n = graph.vertex_count
+        if base == 0 and _is_canonical(table, n):
+            self.graph = XDigraph._trusted(graph.alphabet, n, graph.edges, table)
             return
-        canon, pos = _canonical_core(graph.alphabet, steps, base)
-        if len(pos) != graph.vertex_count:
+        canon, order = _canonical_core(graph.alphabet, table, n, base)
+        if len(order) != n:
             if not graph.is_connected():
                 raise InvalidInputError("subgroup graph must be connected")
             raise InvalidInputError("subgroup graph must be a core graph at its base")
@@ -134,37 +140,38 @@ class SubgroupGraph:
 
 
 def _canonical_core(
-    alphabet: Alphabet, steps: list[dict[int, int]], base: int
-) -> tuple[SubgroupGraph, dict[int, int]]:
-    """The canonical graph of the core at ``base`` of a folded graph,
-    given by its step maps, with the map from old to new vertices.
+    alphabet: Alphabet, table: list[int], vertex_count: int, base: int
+) -> tuple[SubgroupGraph, list[int]]:
+    """The canonical graph of the core at ``base`` of a folded graph on
+    ``vertex_count`` vertices, given by its step table, with the old
+    vertices in their new order.
 
     ``_core_numbering`` cuts the core and numbers it in one walk, the
-    numbering ``SubgroupGraph`` uses, and meets the edges in sorted
-    order, so they are wrapped as they come.  The step maps are trusted
-    to come from a folded graph: every caller checked that once, when
-    the maps were built.
+    numbering ``SubgroupGraph`` uses, meets the edges in sorted order
+    and writes the core's table, so the edges are wrapped as they come
+    and the graph keeps the table.  The input table is trusted to come
+    from a folded graph: every caller checked that once, when the table
+    was built.
     """
-    pos, edges = _core_numbering(steps, base)
-    return SubgroupGraph._from_canonical(XDigraph._trusted(alphabet, len(pos), edges)), pos
+    order, edges, core_table = _core_numbering(table, vertex_count, base)
+    graph = XDigraph._trusted(alphabet, len(order), edges, core_table)
+    return SubgroupGraph._from_canonical(graph), order
 
 
-def _is_canonical(steps: list[dict[int, int]]) -> bool:
-    """True iff the folded graph with these step maps is a core at vertex
-    0 that ``_core_numbering`` numbers as it is: the breadth-first walk
-    from 0 in signed-code order meets the vertices in the order 0, 1,
-    2, ..., reaches them all, and every vertex but 0 has two half-edges
-    or more.  Then no vertex is cut and the canonical edges are the
-    graph's own.
+def _is_canonical(table: list[int], vertex_count: int) -> bool:
+    """True iff the folded graph on ``vertex_count`` vertices with this
+    step table is a core at vertex 0 that ``_core_numbering`` numbers as
+    it is: the breadth-first walk from 0 in signed-code order meets the
+    vertices in the order 0, 1, 2, ..., reaches them all, and every
+    vertex but 0 has two half-edges or more.  Then no vertex is cut and
+    the canonical edges are the graph's own.
     """
+    width = len(table) // vertex_count
     fresh = 1  # the walk has met vertices 0 .. fresh - 1
-    for u, m in enumerate(steps):
-        if u >= fresh or (u and len(m) < 2):
+    for u, row in enumerate(_rows(table, width, vertex_count)):
+        if u >= fresh or (u and width - row.count(-1) < 2):
             return False
-        # a met vertex u > 0 has a half-edge back to the vertex it was met
-        # from, so with two half-edges it has no two new ones to order
-        for code in (m if u and len(m) == 2 else sorted(m)):
-            w = m[code]
+        for w in row:  # in code order; -1 is never fresh
             if w >= fresh:
                 if w != fresh:
                     return False
@@ -174,8 +181,8 @@ def _is_canonical(steps: list[dict[int, int]]) -> bool:
 
 def _fold_core(alphabet: Alphabet, n: int, edges: list[Edge], base: int) -> SubgroupGraph:
     """The canonical graph of the core at ``base`` of the folded graph."""
-    steps, root = _fold(n, edges)
-    return _canonical_core(alphabet, steps, root[base])[0]
+    table, count, block = _fold(n, edges, alphabet.num_codes)
+    return _canonical_core(alphabet, table, count, block[base])[0]
 
 
 def trivial_subgroup(alphabet: Alphabet) -> SubgroupGraph:
@@ -295,13 +302,13 @@ def _grow_tree(
     rng: Optional[Random] = None,
     allowed: Optional[AbstractSet[Edge]] = None,
 ) -> SpanningTree:
-    """Spanning tree of a folded graph, grown over its step maps.
+    """Spanning tree of a folded graph, grown over its step table.
 
     Breadth-first when ``geodesic``, depth-first otherwise.  When
     ``allowed`` is given, only its edges may enter the tree.  Raises
     unless the tree spans the graph and uses every allowed edge.
     """
-    steps = host.step_maps()
+    table, width = host._step_table(), host.alphabet.num_codes
     n = host.vertex_count
     parent = [0] * n
     enter: list[Optional[int]] = [None] * n
@@ -312,12 +319,12 @@ def _grow_tree(
     frontier = deque([root])
     while frontier:
         v = frontier.popleft() if geodesic else frontier.pop()
-        codes = sorted(steps[v])
+        row = enumerate(table[v * width:v * width + width])
         if rng is not None:
-            rng.shuffle(codes)
-        for code in codes:
-            w = steps[v][code]
-            if seen[w]:
+            row = [step for step in row if step[1] >= 0]
+            rng.shuffle(row)
+        for code, w in row:
+            if w < 0 or seen[w]:
                 continue
             e = _step_edge(v, code, w)
             if allowed is not None and e not in allowed:
@@ -375,15 +382,21 @@ def _loop_word(tree: SpanningTree, e: Edge) -> Word:
     """Basis element ``(path to o(e)) e (path from t(e))`` of a non-tree edge.
 
     The spelling is already freely reduced, so no reduction pass runs:
-    the tree paths of a folded graph are reduced, and a cancellation
-    next to ``e`` would make ``e`` the tree edge into ``o(e)`` or
-    ``t(e)``.  ``Word`` still rejects a non-reduced spelling.
+    the tree paths of a folded graph are reduced, so only the two
+    junctions next to ``e`` could cancel, and a cancellation there would
+    make ``e`` the tree edge into ``o(e)`` or ``t(e)``.  Those two
+    junctions are checked, and a tree whose paths cancel at one raises.
     """
     o, x, t = e
-    codes = tree.path_codes(o) + (2 * x,) + tuple(
-        c ^ 1 for c in reversed(tree.path_codes(t))
-    )
-    return Word(tree.host.alphabet, codes)
+    alphabet, head = tree.host.alphabet, tree.path_codes(o)
+    codes = head + (2 * x,) + tuple(c ^ 1 for c in reversed(tree.path_codes(t)))
+    for i in (len(head) - 1, len(head)):  # the junctions before and after e
+        if 0 <= i < len(codes) - 1 and codes[i] == codes[i + 1] ^ 1:
+            raise InvalidInputError(
+                f"word is not freely reduced at {alphabet.code_name(codes[i])}"
+                f" {alphabet.code_name(codes[i + 1])}"
+            )
+    return Word._trusted(alphabet, codes)
 
 
 def rank(g: SubgroupGraph) -> int:
@@ -402,11 +415,11 @@ def rewrite_in_basis(g: SubgroupGraph, tree: SpanningTree, w: Word) -> tuple[int
         raise AlphabetMismatchError("word and subgroup use different alphabets")
     order = {e: i + 1 for i, e in enumerate(non_tree_edges(g, tree))}
     out: list[int] = []
-    steps = g.graph.step_maps()
+    table, width = g.graph._step_table(), g.alphabet.num_codes
     v = g.base
     for code in w.codes:
-        nxt = steps[v].get(code)
-        if nxt is None:
+        nxt = table[v * width + code]
+        if nxt < 0:
             raise NotAMemberError("word does not lie in the subgroup")
         e = _step_edge(v, code, nxt)
         if e not in tree.edges:
@@ -521,22 +534,24 @@ def conjugate(g: SubgroupGraph, w: Word) -> SubgroupGraph:
     the endpoint, and re-cores at the new base (``_canonical_core``).
     The stem cannot fold: its first code is the one found missing at
     the endpoint, and it spells a reduced word through fresh vertices.
-    So it extends a shallow copy of the step maps, one new map per stem
-    vertex.  The type graph is unchanged by conjugation.
+    So it extends a copy of the step table, one new row per stem vertex.
+    The type graph is unchanged by conjugation.
     """
     if w.alphabet != g.alphabet:
         raise AlphabetMismatchError("conjugator and subgroup use different alphabets")
-    steps = g.graph.step_maps()
-    u, n = _read(steps, g.base, invert(w).codes)
-    y = w.codes[:len(w.codes) - n]  # unread head; attach its inverse as a stem
+    table, width = g.graph._step_table(), g.alphabet.num_codes
+    n = g.vertex_count
+    u, read = _read(g.graph, g.base, invert(w).codes)
+    y = w.codes[:len(w.codes) - read]  # unread head; attach its inverse as a stem
     if y:
-        steps = list(steps)
-        steps[u] = dict(steps[u])
+        table = table[:]
+        empty = [-1] * width
         for code in reversed(y):
-            steps[u][code ^ 1] = len(steps)
-            steps.append({code: u})
-            u = len(steps) - 1
-    return _canonical_core(g.alphabet, steps, u)[0]
+            table[u * width + (code ^ 1)] = n
+            table += empty
+            table[n * width + code] = u
+            u, n = n, n + 1
+    return _canonical_core(g.alphabet, table, n, u)[0]
 
 
 def conjugacy_equivalent(h: SubgroupGraph, k: SubgroupGraph) -> Optional[Word]:
@@ -640,7 +655,7 @@ def hall_completion(h: SubgroupGraph, g: Word) -> HallCompletion:
     if contains(h, g):
         raise InvalidInputError("Hall completion needs an element outside H")
     graph = h.graph
-    v, i = _read(graph.step_maps(), h.base, g.codes)
+    v, i = _read(graph, h.base, g.codes)
     chain: list[Edge] = []
     n = _spell_path(chain, v, g.codes[i:], graph.vertex_count)
     complete = regular_complete(XDigraph(graph.alphabet, n, graph.edges + tuple(chain)))

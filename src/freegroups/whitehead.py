@@ -194,7 +194,7 @@ def _minimal_cyclic_core(k: SubgroupGraph) -> SubgroupGraph:
     cur = _cyclic_core(k)
     moves = _multiplier_moves(k.alphabet)
     while cur.vertex_count > 1:
-        sizes = _move_sizes(cur, _star_masks(cur.graph.step_maps()))
+        sizes = _move_sizes(cur, _star_masks(cur.graph))
         best = min(range(len(sizes)), key=sizes.__getitem__, default=None)
         if best is None or sizes[best] >= cur.edge_count:
             break
@@ -212,7 +212,8 @@ def _cyclic_core(g: SubgroupGraph) -> SubgroupGraph:
     """The graph with the stem to its base removed, based where the stem
     ended: the graph of a conjugate of the subgroup, core at every vertex."""
     t = type_with_anchor(g.based)
-    return _canonical_core(g.alphabet, g.graph.step_maps(), t.host_vertices[t.anchor])[0]
+    anchor = t.host_vertices[t.anchor]
+    return _canonical_core(g.alphabet, g.graph._step_table(), g.vertex_count, anchor)[0]
 
 
 @lru_cache(maxsize=64)

@@ -279,6 +279,32 @@ def wedge_graph(gens: Sequence[Word]) -> XDigraph:
     return XDigraph(gens[0].alphabet, n, edges)
 
 
+def step_maps_by_edges(g: XDigraph) -> list[dict[int, int]]:
+    """Per-vertex step maps (signed code -> neighbour), one ``dict`` per
+    vertex, inserted one half-edge at a time in edge order: the oracle
+    of ``XDigraph.step_maps()``.  The first half-edge whose code is
+    already taken at its vertex raises the message of an unfolded graph."""
+    steps: list[dict[int, int]] = [{} for _ in range(g.vertex_count)]
+    for o, x, t in g.edges:
+        for v, code, far in ((o, 2 * x, t), (t, 2 * x + 1, o)):
+            if code in steps[v]:
+                raise InvalidInputError(
+                    "graph is not folded: two half-edges labeled "
+                    f"{g.alphabet.code_name(code)} at vertex {v}"
+                )
+            steps[v][code] = far
+    return steps
+
+
+def table_of_maps(steps: list[dict[int, int]], width: int) -> list[int]:
+    """The flat step table holding these step maps, ``width`` slots a row."""
+    table = [-1] * (len(steps) * width)
+    for v, m in enumerate(steps):
+        for code, far in m.items():
+            table[v * width + code] = far
+    return table
+
+
 def naive_fold(g: XDigraph) -> tuple[set[frozenset[int]], set[tuple]]:
     """Reference fold: while some vertex has two equally labelled
     half-edges, identify their far ends.
@@ -387,6 +413,21 @@ def core_by_leaf_deletion(g: XDigraph, v: int) -> tuple[XDigraph, dict[int, int]
         edges = [e for e in edges if leaf not in (e[0], e[2])]
     vmap = {u: i for i, u in enumerate(sorted(keep))}
     return XDigraph(g.alphabet, len(keep), [(vmap[o], x, vmap[t]) for o, x, t in edges]), vmap
+
+
+def core_order_by_maps(g: XDigraph, v: int) -> list[int]:
+    """The vertices of the core at ``v`` of a folded graph in canonical
+    order: leaf deletion picks them, and a breadth-first walk from ``v``
+    over the step maps of ``step_maps_by_edges``, codes sorted, orders them."""
+    keep = core_by_leaf_deletion(g, v)[1]
+    steps = step_maps_by_edges(g)
+    order = [v]
+    for u in order:
+        for code in sorted(steps[u]):
+            w = steps[u][code]
+            if w in keep and w not in order:
+                order.append(w)
+    return order
 
 
 def _subgroup_of_core(g: XDigraph, v: int) -> SubgroupGraph:
@@ -527,7 +568,7 @@ def smaller_state_on_plateau(
     frontier = deque([start])
     while frontier:
         g = frontier.popleft()
-        predictions = _move_sizes(g, _star_masks(g.graph.step_maps()))
+        predictions = _move_sizes(g, _star_masks(g.graph))
         for auto, predicted in zip(moves, predictions):
             if predicted > size:
                 continue
@@ -552,22 +593,23 @@ def _conjugacy_key(g: SubgroupGraph) -> tuple:
     the base vertices whose star class is the rarest (ties go to the
     smaller mask).  Isomorphisms keep stars, so the choice of bases is
     invariant."""
-    stars = _star_masks(g.graph.step_maps())
+    stars = _star_masks(g.graph)
     counts = Counter(stars)
     rare = min(counts, key=lambda m: (counts[m], m))
-    steps = g.graph.step_maps()
+    table, n = g.graph._step_table(), g.vertex_count
+    orders = (_core_numbering(table, n, v)[0] for v, m in enumerate(stars) if m == rare)
     return min(
         tuple(sorted((pos[o], x, pos[t]) for o, x, t in g.graph.edges))
-        for pos in (_core_numbering(steps, v)[0] for v, m in enumerate(stars) if m == rare)
+        for pos in ({u: i for i, u in enumerate(order)} for order in orders)
     )
 
 
 def subgroup_from_json_by_passes(text: str) -> SubgroupGraph:
     """The graph-JSON load as separate passes, each with its own checks:
     the record checks, ``XDigraph(...)``'s sort and range check, step
-    maps built one half-edge at a time, and ``_canonical_core``'s walk
-    on every input; the result is kept as it is when that walk numbers
-    it as it is."""
+    maps built one half-edge at a time (``step_maps_by_edges``), and
+    ``_canonical_core``'s walk on every input; the result is kept as it
+    is when that walk numbers it as it is."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -601,22 +643,14 @@ def subgroup_from_json_by_passes(text: str) -> SubgroupGraph:
     graph = BasedGraph(XDigraph(alph, vertices, edges), base).graph
     if graph.vertex_count > len(graph.edges) + 1:
         raise InvalidInputError("subgroup graph must be connected")
-    steps: list[dict[int, int]] = [{} for _ in range(graph.vertex_count)]
-    for o, x, t in graph.edges:
-        for v, code, far in ((o, 2 * x, t), (t, 2 * x + 1, o)):
-            if code in steps[v]:
-                raise InvalidInputError(
-                    "graph is not folded: two half-edges labeled "
-                    f"{alph.code_name(code)} at vertex {v}"
-                )
-            steps[v][code] = far
-    canon, pos = _canonical_core(alph, steps, base)
-    if len(pos) != graph.vertex_count:
+    table = table_of_maps(step_maps_by_edges(graph), alph.num_codes)
+    canon, order = _canonical_core(alph, table, graph.vertex_count, base)
+    if len(order) != graph.vertex_count:
         if not graph.is_connected():
             raise InvalidInputError("subgroup graph must be connected")
         raise InvalidInputError("subgroup graph must be a core graph at its base")
-    if list(pos) != list(range(len(pos))):
+    if order != list(range(len(order))):
         return canon
     return SubgroupGraph._from_canonical(
-        XDigraph._trusted(alph, len(pos), graph.edges, steps)
+        XDigraph._trusted(alph, len(order), graph.edges, table)
     )

@@ -116,6 +116,35 @@ def test_components_json(capsys):
     assert off[0]["rank"] == 1 and off[0]["double_coset_witness"] == "a"
 
 
+def test_components_prints_counts_without_building_component_graphs(capsys, monkeypatch):
+    # a malnormal 41-vertex F2 subgroup: its self-product has 509
+    # components and no witness, so the only graphs wrapped are the two
+    # --sub builds, and the counts are those of the built components
+    import freegroups.graph as fgraph
+    from freegroups.intersect import component_analysis
+    from freegroups.subgroup import stallings_graph
+    from freegroups.words import Alphabet, parse_word
+
+    spec = "BBabbbAAbAbAbaa,babbABBaaaBaBAb,aBaababbabAbaBA"
+    trusted = fgraph.XDigraph._trusted
+    calls = []
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args[1])
+        return trusted(*args, **kwargs)
+
+    monkeypatch.setattr(fgraph.XDigraph, "_trusted", classmethod(counted))
+    code, out, _ = run(capsys, "--alphabet", "ab", "components", "--sub", spec, "--sub", spec)
+    assert code == 0 and calls == [41, 41]
+    ab = Alphabet.from_string("ab")
+    h = stallings_graph(ab, [parse_word(w, ab) for w in spec.split(",")])
+    reports = component_analysis(h, h)
+    counts = [(r.vertex_count, r.component.vertex_count, len(r.component.edges)) for r in reports]
+    assert [(r["vertices"], r["edges"]) for r in json.loads(out)] == [(v, e) for _, v, e in counts]
+    assert all(before == v == r.vertex_count for (before, v, _), r in zip(counts, reports))
+    assert len(reports) == 509
+
+
 def test_extension_verbs(capsys):
     code, out, _ = run(capsys, "--alphabet", "ab", "ext-type", "--sub", "aa", "--sub", "a")
     assert (code, out) == (0, "algebraic\n")
@@ -275,7 +304,7 @@ def test_non_utf8_graph_file_exit_2(capsys, tmp_path):
 
 def test_fg_graph_output_loads_in_one_pass(capsys, monkeypatch):
     # the JSON `fg graph` writes is canonical: loading it builds the step
-    # maps once, for the foldedness check, and neither re-sorts its edges
+    # table once, for the foldedness check, and neither re-sorts its edges
     # through XDigraph(...) nor renumbers it through _core_numbering
     import freegroups.cli as cli
     import freegroups.graph as fgraph
@@ -284,7 +313,7 @@ def test_fg_graph_output_loads_in_one_pass(capsys, monkeypatch):
 
     code, text, _ = run(capsys, "--alphabet", "ab", "graph", "--sub", "aabAB,bbaBA,abababab")
     assert code == 0
-    calls = {"init": 0, "numbering": 0, "maps": 0}
+    calls = {"init": 0, "numbering": 0, "tables": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -292,18 +321,18 @@ def test_fg_graph_output_loads_in_one_pass(capsys, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    step_maps = fgraph.XDigraph.step_maps
+    step_table = fgraph.XDigraph._step_table
 
     def build_counted(g):
-        calls["maps"] += g._steps is None
-        return step_maps(g)
+        calls["tables"] += g._steps is None
+        return step_table(g)
 
     monkeypatch.setattr(fgraph.XDigraph, "__init__", counted("init", fgraph.XDigraph.__init__))
-    monkeypatch.setattr(fgraph.XDigraph, "step_maps", build_counted)
+    monkeypatch.setattr(fgraph.XDigraph, "_step_table", build_counted)
     for module in (fgraph, fsub):
         monkeypatch.setattr(module, "_core_numbering", counted("numbering", module._core_numbering))
     loaded = cli._load_subgroup(text, Alphabet.from_string("ab"))
-    assert calls == {"init": 0, "numbering": 0, "maps": 1}
+    assert calls == {"init": 0, "numbering": 0, "tables": 1}
     assert fgraph.graph_to_json(loaded.based) + "\n" == text
     # the same graph renumbered takes the full path
     record = json.loads(text)

@@ -1,6 +1,9 @@
-"""The step-map walks and the Whitehead descent against independent oracles.
+"""The step-table walks and the Whitehead descent against independent oracles.
 
-The base-component intersection, the component walk behind the reports
+A graph's step table, and the tables that folds, cores and products
+hand on to the graphs they build, must hold what step maps built one
+half-edge at a time hold, and reject an unfolded graph with the same
+message.  The base-component intersection, the component walk behind the reports
 and the malnormal and cyclonormal tests, and the fused fold -> core ->
 canonical builds must give exactly what the full product graph and the
 unfused builds give; a component report is the same value whether or
@@ -27,8 +30,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freegroups.extensions import principal_quotients
+from freegroups.errors import InvalidInputError
 from freegroups.graph import (
     XDigraph,
+    _core_numbering,
+    _fold,
     _star_masks,
     connected_components,
     core,
@@ -40,7 +46,14 @@ from freegroups.graph import (
     type_graph,
 )
 from freegroups.intersect import component_analysis, intersection, is_cyclonormal, is_malnormal
-from freegroups.subgroup import SubgroupGraph, basis, conjugate, join, stallings_graph
+from freegroups.subgroup import (
+    SubgroupGraph,
+    _is_canonical,
+    basis,
+    conjugate,
+    join,
+    stallings_graph,
+)
 from freegroups.errors import ResourceLimitError
 from freegroups.whitehead import (
     _cyclic_core,
@@ -59,14 +72,18 @@ from helpers import (
     component_analysis_by_full_product,
     conjugate_unfused,
     core_by_leaf_deletion,
+    core_order_by_maps,
     free_factor_by_based_descent,
     intersection_by_full_product,
     join_unfused,
+    naive_fold,
     rand_subgroup,
     rand_word,
     smaller_state_on_plateau,
     stallings_graph_unfused,
+    step_maps_by_edges,
     subgroup_from_json_by_passes,
+    table_of_maps,
 )
 
 ABCD = Alphabet.from_string("abcd")
@@ -350,14 +367,86 @@ def test_trusted_graphs_are_what_the_public_constructor_builds(pair, seed):
         intersection(h, k),
         *(pq.graph for pq in principal_quotients(_subgroup(rng, h.alphabet, 6))),
     ]
+    perm = list(range(h.vertex_count))
+    rng.shuffle(perm)
+    relabelled = [(perm[o], x, perm[t]) for o, x, t in h.graph.edges]
+    subgroups += [
+        _cyclic_core(h),
+        SubgroupGraph(XDigraph(h.alphabet, h.vertex_count, relabelled), perm[h.base]),
+    ]
+    wedge = h.graph.edges + tuple((o + h.vertex_count, x, t + h.vertex_count)
+                                  for o, x, t in k.graph.edges) + ((0, 0, h.vertex_count),)
     built = [
         *(s.graph for s in subgroups),
         *(type_graph(s.based) for s in subgroups),
         *(r.component for r in component_analysis(h, k)),
         *(c.graph for c in connected_components(product(h.graph, k.graph).graph)),
+        fold_all(XDigraph(h.alphabet, h.vertex_count + k.vertex_count, wedge)).graph,
     ]
+    # and each build that hands a step table on hands the one its edges give
+    assert all(s.graph._steps is not None for s in subgroups)
     for g in built:
         assert g == XDigraph(g.alphabet, g.vertex_count, g.edges)
+        if g._steps is not None:
+            assert g._steps == table_of_maps(step_maps_by_edges(g), g.alphabet.num_codes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_multigraphs())
+def test_step_table_matches_the_step_maps_oracle(g):
+    # folded or not, the table and its views hold what step maps built
+    # one half-edge at a time hold, and the first clash raises the same message
+    width = g.alphabet.num_codes
+    for graph in (g, fold_all(g).graph):
+        fresh = XDigraph(graph.alphabet, graph.vertex_count, graph.edges)
+        try:
+            expected = step_maps_by_edges(graph)
+        except InvalidInputError as exc:
+            with pytest.raises(InvalidInputError) as raised:
+                fresh.step_maps()
+            assert str(raised.value) == str(exc)
+            assert not is_folded(fresh)
+            continue
+        assert is_folded(fresh)
+        assert graph.step_maps() == fresh.step_maps() == expected
+        assert graph._step_table() == fresh._step_table() == table_of_maps(expected, width)
+        assert [[graph.step(v, c) for c in range(width)] for v in range(graph.vertex_count)] \
+            == [[m.get(c) for c in range(width)] for m in expected]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_multigraphs(), st.integers(0, 11))
+def test_fold_and_core_numbering_match_the_oracles(g, v):
+    # _fold against naive_fold: the blocks, numbered by least vertex, and
+    # the folded edges that their rows hold
+    width, n = g.alphabet.num_codes, g.vertex_count
+    table, count, block = _fold(n, g.edges, width)
+    naive_blocks, naive_edges = naive_fold(g)
+    blocks = sorted(naive_blocks, key=min)
+    assert [frozenset(u for u in range(n) if block[u] == i) for i in range(count)] == blocks
+    assert len(table) == count * width
+    assert {
+        (blocks[i // width], code >> 1, blocks[w])
+        for i, w in enumerate(table) for code in [i % width] if w >= 0 and not code & 1
+    } == naive_edges
+    # the core of the naively folded graph, against leaf deletion and a
+    # walk over the step maps in sorted code order
+    number = {u: i for i, b in enumerate(blocks) for u in b}
+    folded = XDigraph(g.alphabet, count, {(number[o], x, number[t]) for o, x, t in g.edges})
+    v = number[v % n]
+    order, edges, core_table = _core_numbering(folded._step_table(), folded.vertex_count, v)
+    assert order == core_order_by_maps(folded, v)
+    pos = {u: i for i, u in enumerate(order)}
+    assert edges == tuple(sorted(
+        (pos[o], x, pos[t]) for o, x, t in folded.edges if o in pos and t in pos
+    ))
+    core = XDigraph(g.alphabet, len(order), edges)
+    assert core_table == table_of_maps(step_maps_by_edges(core), width)
+    # a graph is kept as canonical exactly when that walk from 0 numbers it as it is
+    assert _is_canonical(core_table, len(order))
+    assert _is_canonical(folded._step_table(), folded.vertex_count) == (
+        core_order_by_maps(folded, 0) == list(range(folded.vertex_count))
+    )
 
 
 @settings(max_examples=150, deadline=None)
@@ -444,12 +533,12 @@ def _corrupted(rng: Random, record: dict) -> dict:
 def test_graph_json_load_matches_the_load_by_passes(h, seed):
     rng = Random(seed)
     text = graph_to_json(h.based)
-    # canonical JSON is kept: its edge tuple and the checked step maps
+    # canonical JSON is kept: its edge tuple and the checked step table
     based, loaded = _load(text)
     assert loaded == h == _load_by_passes(text)
     assert loaded.graph.edges is based.graph.edges
     assert based.graph._steps is None
-    assert loaded.graph._steps == XDigraph(h.alphabet, h.vertex_count, h.graph.edges).step_maps()
+    assert loaded.graph._steps == XDigraph(h.alphabet, h.vertex_count, h.graph.edges)._step_table()
     # the same graph relabelled and shuffled is renumbered to it
     record = json.loads(text)
     moved = json.dumps(_relabelled(rng, record))
@@ -524,7 +613,7 @@ def test_move_sizes_match_built_images(alphabet, seed):
     # cyclic core (type graph) of the image that transform_subgroup builds
     h = _subgroup(Random(seed), alphabet, max_vertices=8)
     c = _cyclic_core(h)
-    sizes = _move_sizes(c, _star_masks(c.graph.step_maps()))
+    sizes = _move_sizes(c, _star_masks(c.graph))
     moves = _multiplier_moves(alphabet)
     assert len(sizes) == len(moves)
     for auto, predicted in zip(moves, sizes):

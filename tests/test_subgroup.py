@@ -1,5 +1,9 @@
 """Subgroup graphs: construction, membership, bases, index, conjugacy."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -40,7 +44,7 @@ from freegroups.subgroup import (
     trivial_subgroup,
 )
 from freegroups.whitehead import is_free_factor
-from freegroups.words import Alphabet, format_word, invert, multiply, parse_word
+from freegroups.words import Alphabet, Word, format_word, invert, multiply, parse_word
 
 from helpers import AB, A1, product_words, rand_gens, rand_subgroup, rand_word
 
@@ -163,6 +167,48 @@ def test_rank_equals_basis_size_any_tree():
         for geodesic in (True, False):
             tree = spanning_tree(g, geodesic=geodesic, rng=Random(rng.randrange(10**6)))
             assert len(basis(g, tree)) == rank(g)
+
+
+def test_basis_words_are_the_reduced_words_word_checks():
+    # basis words skip the reduction scan of Word(...); it must accept them unchanged
+    rng = Random(29)
+    for _ in range(20):
+        g = rand_subgroup(rng, AB)
+        tree = spanning_tree(g, geodesic=rng.random() < 0.5, rng=Random(rng.randrange(10**6)))
+        words = list(basis(g, tree).elements)
+        w = rand_word(rng, AB, 8)
+        if not contains(g, w):
+            words += hall_completion(g, w).basis_h + hall_completion(g, w).basis_c
+        for w in words:
+            assert Word(AB, w.codes) == w
+
+
+def test_tree_paths_cancelling_next_to_an_edge_raise_under_optimize():
+    # a hand-made tree whose path to one end of a non-tree edge ends with
+    # that edge's inverse must be rejected by a check that -O keeps
+    script = """
+from freegroups.errors import InvalidInputError
+from freegroups.graph import XDigraph
+from freegroups.subgroup import SpanningTree, SubgroupGraph, basis
+from freegroups.words import Alphabet
+g = SubgroupGraph(XDigraph(Alphabet("ab"), 2, [(0, 0, 1), (1, 0, 0)]), 0)
+# each tree holds one edge but says vertex 1 is entered along the other
+for edge, enter in (((0, 0, 1), 1), ((1, 0, 0), 0)):
+    tree = SpanningTree(g.graph, 0, frozenset({edge}), (0, 0), (None, enter), (0, 1), False)
+    try:
+        print(basis(g, tree))
+    except InvalidInputError as exc:
+        print(exc)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.stdout.splitlines() == [
+        "word is not freely reduced at a^-1 a",
+        "word is not freely reduced at a a^-1",
+    ], done.stderr
 
 
 def test_rewrite_examples():
@@ -499,9 +545,9 @@ def test_subgroup_graph_validation():
         SubgroupGraph(XDigraph(AB, 2, [(0, 0, 0), (0, 1, 1)]), 0)
 
 
-def test_subgroup_graph_hands_its_checked_step_maps_on():
-    # the input graph no longer holds the maps built to validate it; an
-    # input already in canonical numbering hands them, and its edge tuple,
+def test_subgroup_graph_hands_its_checked_step_table_on():
+    # the input graph no longer holds the table built to validate it; an
+    # input already in canonical numbering hands it, and its edge tuple,
     # to the canonical graph, and any other input is renumbered afresh
     from freegroups.graph import XDigraph
 
@@ -511,14 +557,14 @@ def test_subgroup_graph_hands_its_checked_step_maps_on():
         perm = list(range(h.vertex_count))
         rng.shuffle(perm)
         g = XDigraph(AB, h.vertex_count, [(perm[o], x, perm[t]) for o, x, t in h.graph.edges])
-        g.step_maps()
+        g._step_table()
         loaded = SubgroupGraph(g, perm[h.base])
         assert loaded == h
         assert g._steps is None
         fresh = XDigraph(AB, h.vertex_count, loaded.graph.edges)
-        assert loaded.graph.step_maps() == fresh.step_maps()
+        assert loaded.graph._steps == fresh._step_table()
         canonical = XDigraph(AB, h.vertex_count, h.graph.edges)
-        checked = canonical.step_maps()
+        checked = canonical._step_table()
         kept = SubgroupGraph(canonical, 0)
         assert kept == h
         assert kept.graph.edges is canonical.edges
