@@ -30,6 +30,7 @@ from freegroups.subgroup import (
     SubgroupGraph,
     _canonical_core,
     _spell_path,
+    basis,
     contains,
     power_in,
     rank,
@@ -37,9 +38,11 @@ from freegroups.subgroup import (
     stallings_graph,
 )
 from freegroups.whitehead import (
+    WhiteheadAuto,
     _cyclic_core,
     _move_sizes,
     _multiplier_moves,
+    apply_auto,
     is_free_factor,
     transform_subgroup,
 )
@@ -510,6 +513,53 @@ def component_analysis_by_full_product(
     return reports
 
 
+def move_sizes_by_classes(g: SubgroupGraph, stars: list[int]) -> list[int]:
+    """Edge count of the cyclic core of each multiplier image of the
+    cyclic core ``g``, in ``_multiplier_moves`` order, move by move:
+    ``#E - #{a-edges}`` plus the vertices, grouped by star, whose star
+    meets both the cut ``B = {a} u {x^-1 : x in A, x != a}`` and its
+    complement."""
+    letters = [0] * g.alphabet.size
+    for _, x, _ in g.graph.edges:
+        letters[x] += 1
+    classes = Counter(stars).items()
+    sizes = []
+    for auto in _multiplier_moves(g.alphabet):
+        a = auto.multiplier
+        b = 1 << a
+        for x in auto.carrier:
+            if x != a:
+                b |= 1 << (x ^ 1)
+        split = sum(n for m, n in classes if 0 != m & b != m)
+        sizes.append(g.edge_count - letters[a >> 1] + split)
+    return sizes
+
+
+def transform_by_basis(auto: WhiteheadAuto, g: SubgroupGraph) -> SubgroupGraph:
+    """Graph of the image subgroup, folded from the images of a basis."""
+    return stallings_graph(g.alphabet, [apply_auto(auto, w) for w in basis(g).elements])
+
+
+def minimal_cyclic_core_by_enumeration(k: SubgroupGraph) -> tuple[SubgroupGraph, int]:
+    """The descent on cyclic cores over the enumerated move family, and
+    its number of steps: each step scores every move of
+    ``_multiplier_moves`` by ``move_sizes_by_classes``, builds the image
+    of the first one of least size from a basis, and checks its size."""
+    cur = _cyclic_core(k)
+    moves = _multiplier_moves(k.alphabet)
+    steps = 0
+    while cur.vertex_count > 1:
+        sizes = move_sizes_by_classes(cur, _star_masks(cur.graph))
+        best = min(range(len(sizes)), key=sizes.__getitem__, default=None)
+        if best is None or sizes[best] >= cur.edge_count:
+            break
+        image = _cyclic_core(transform_by_basis(moves[best], cur))
+        if image.edge_count != sizes[best]:
+            raise AssertionError("a built image differs from its predicted size")
+        cur, steps = image, steps + 1
+    return cur, steps
+
+
 def free_factor_by_based_descent(k: SubgroupGraph, plateau_budget: int = 10_000) -> bool:
     """Free factor of the ambient group by Whitehead minimization of the
     based graph: every descent step builds the image of every multiplier
@@ -518,7 +568,7 @@ def free_factor_by_based_descent(k: SubgroupGraph, plateau_budget: int = 10_000)
     moves = _multiplier_moves(k.alphabet)
 
     def smallest_image(g: SubgroupGraph) -> Optional[SubgroupGraph]:
-        images = [transform_subgroup(auto, g) for auto in moves]
+        images = [transform_by_basis(auto, g) for auto in moves]
         return min(images, key=lambda h: h.edge_count, default=None)
 
     def plateau(start: SubgroupGraph) -> Optional[SubgroupGraph]:
@@ -528,7 +578,7 @@ def free_factor_by_based_descent(k: SubgroupGraph, plateau_budget: int = 10_000)
         while frontier:
             g = frontier.popleft()
             for auto in moves:
-                image = transform_subgroup(auto, g)
+                image = transform_by_basis(auto, g)
                 if image.edge_count < size:
                     return image
                 if image.edge_count > size or image.canonical_key() in visited:

@@ -9,9 +9,11 @@ canonical builds must give exactly what the full product graph and the
 unfused builds give; a component report is the same value whether or
 not its graph has been built.  The one-pass graph-JSON load must give
 what the load in separate passes gives, errors included.  The
-star-split sizes of Whitehead moves must match the built images, and
-the descent on cyclic cores must decide free factors as the descent on
-based graphs does.
+star-split sizes of Whitehead moves must match the built images and
+the move-by-move count, edge substitution must build what folding the
+images of a basis builds, the descent over cut masks must take the
+enumerated descent's steps, and the descent on cyclic cores must decide
+free factors as the descent on based graphs does.
 """
 
 import copy
@@ -23,6 +25,7 @@ import sys
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 from random import Random
+from unittest import mock
 
 import networkx as nx
 import pytest
@@ -53,8 +56,10 @@ from freegroups.subgroup import (
     conjugate,
     join,
     stallings_graph,
+    trivial_subgroup,
 )
 from freegroups.errors import ResourceLimitError
+import freegroups.whitehead as fw
 from freegroups.whitehead import (
     _cyclic_core,
     _minimal_cyclic_core,
@@ -67,6 +72,7 @@ from freegroups.whitehead import (
 from freegroups.words import Alphabet, Word, free_reduce, identity, invert, multiply, parse_word
 
 from helpers import (
+    A1,
     AB,
     ABC,
     component_analysis_by_full_product,
@@ -76,6 +82,8 @@ from helpers import (
     free_factor_by_based_descent,
     intersection_by_full_product,
     join_unfused,
+    minimal_cyclic_core_by_enumeration,
+    move_sizes_by_classes,
     naive_fold,
     rand_subgroup,
     rand_word,
@@ -84,9 +92,11 @@ from helpers import (
     step_maps_by_edges,
     subgroup_from_json_by_passes,
     table_of_maps,
+    transform_by_basis,
 )
 
 ABCD = Alphabet.from_string("abcd")
+ABCDE = Alphabet.from_string("abcde")
 
 
 def _subgroup(rng: Random, alphabet, max_vertices: int):
@@ -618,6 +628,44 @@ def test_move_sizes_match_built_images(alphabet, seed):
     assert len(sizes) == len(moves)
     for auto, predicted in zip(moves, sizes):
         assert predicted == len(type_graph(transform_subgroup(auto, h).based).edges)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([A1, AB, ABC, ABCD, ABCDE]), st.integers(0, 2**32))
+def test_move_sizes_match_the_move_by_move_oracle(alphabet, seed):
+    # the subset-sum table scores every move as the loop over star
+    # classes does, on random cyclic cores and on the one-vertex trivial
+    # graph, the only one with an empty star (the F({}) term)
+    h = _subgroup(Random(seed), alphabet, max_vertices=12)
+    for c in (_cyclic_core(h), trivial_subgroup(alphabet)):
+        stars = _star_masks(c.graph)
+        assert _move_sizes(c, stars) == move_sizes_by_classes(c, stars)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([A1, AB, ABC]), st.integers(0, 2**32))
+def test_transform_subgroup_matches_the_basis_route(alphabet, seed):
+    # edge substitution builds the graph that folding the images of a
+    # basis builds, for every member of the Whitehead family
+    h = _subgroup(Random(seed), alphabet, max_vertices=8)
+    for g in (h, trivial_subgroup(alphabet)):
+        for auto in enumerate_whitehead(alphabet):
+            assert transform_subgroup(auto, g) == transform_by_basis(auto, g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([AB, ABC, ABCD]), st.integers(0, 2**32), st.booleans())
+def test_descent_matches_the_enumerated_descent(alphabet, seed, planted):
+    # the descent over cut masks takes the oracle's path: the same end
+    # core after the same number of built images
+    rng = Random(seed)
+    if planted:
+        h = conjugate(_sub_rose_image(rng, alphabet), rand_word(rng, alphabet, 5))
+    else:
+        h = _subgroup(rng, alphabet, max_vertices=8)
+    with mock.patch.object(fw, "transform_subgroup", wraps=fw.transform_subgroup) as built:
+        end = _minimal_cyclic_core(h)
+    assert (end, built.call_count) == minimal_cyclic_core_by_enumeration(h)
 
 
 def _sub_rose_image(rng: Random, alphabet):

@@ -19,13 +19,16 @@ from freegroups.subgroup import (
 )
 from freegroups.whitehead import (
     WhiteheadAuto,
+    _cut_masks,
+    _multiplier_auto,
+    _multiplier_moves,
     apply_auto,
     enumerate_whitehead,
     is_free_factor,
     is_free_factor_of_ambient,
     transform_subgroup,
 )
-from freegroups.words import format_word, parse_word
+from freegroups.words import Alphabet, format_word, parse_word
 
 from helpers import AB, A1, is_subgraph_embedding, rand_gens, rand_subgroup, rand_word
 
@@ -115,6 +118,39 @@ def test_ambient_free_factor_examples():
     assert is_free_factor_of_ambient(stallings_graph(A1, [parse_word("a", A1)]))
     assert not is_free_factor_of_ambient(stallings_graph(A1, [parse_word("aa", A1)]))
     assert is_free_factor_of_ambient(trivial_subgroup(A1))
+
+
+def test_ambient_decision_reads_only_the_letters_used():
+    # a subgroup of F(Y) is a free factor of F(X) iff it is one of F(Y):
+    # over ten letters <ab> and <abAB> are decided over ab and <a^2> over
+    # a, and no cut table for ten letters (5.2 million moves) is built
+    ten = Alphabet.from_string("abcdefghij")
+    _cut_masks.cache_clear()
+    for w, verdict in (("ab", True), ("aa", False), ("abAB", False)):
+        assert is_free_factor_of_ambient(stallings_graph(ten, [parse_word(w, ten)])) is verdict
+    # the cache holds exactly the tables of a and ab
+    for small in (A1, AB):
+        _cut_masks(small)
+    info = _cut_masks.cache_info()
+    assert (info.currsize, info.misses) == (2, 2)
+
+
+def test_descent_builds_no_move_family():
+    # the descent reads its moves off their cuts and builds only the
+    # chosen one: a rank-6 free factor fills no cache of automorphisms,
+    # and one-letter alphabets, which have no moves, decide as well
+    six = Alphabet.from_string("abcdef")
+    h = stallings_graph(six, [parse_word(x, six) for x in "abc"])
+    rng = Random(50)
+    for a in (6, 9, 10, 4, 11, 7):
+        carrier = frozenset({a} | {c for c in range(12) if c >> 1 != a >> 1 and rng.random() < 0.3})
+        h = transform_subgroup(_multiplier_auto(six, a, carrier), h)
+    assert {x for _, x, _ in h.graph.edges} == set(range(6))
+    _multiplier_moves.cache_clear()
+    assert is_free_factor_of_ambient(h)
+    assert is_free_factor_of_ambient(stallings_graph(A1, [parse_word("a", A1)]))
+    assert not is_free_factor_of_ambient(stallings_graph(A1, [parse_word("aa", A1)]))
+    assert _multiplier_moves.cache_info().currsize == 0
 
 
 def test_relative_free_factor_examples():
