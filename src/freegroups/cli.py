@@ -29,7 +29,7 @@ from . import extensions as ext
 from . import intersect as meet
 from . import subgroup as sub
 from .errors import FreeGroupsError, InvalidInputError, ResourceLimitError
-from .graph import BasedGraph, graph_from_json, graph_to_json, to_dot
+from .graph import BasedGraph, _graph_record, graph_from_json, graph_to_json, to_dot
 from .subgroup import SubgroupGraph
 from .whitehead import DEFAULT_PLATEAU_BUDGET, is_free_factor, is_free_factor_of_ambient
 from .words import Alphabet, Word, format_word, parse_word
@@ -87,12 +87,8 @@ def _answer(args, ok: bool, cert: Optional[dict] = None) -> int:
     return 1 if (args.strict and not ok) else 0
 
 
-def _graph_record(g: SubgroupGraph) -> dict:
-    return json.loads(graph_to_json(g.based))
-
-
 def _emit_records(graphs) -> None:
-    print(json.dumps([_graph_record(g) for g in graphs]))
+    print(json.dumps([_graph_record(g.based) for g in graphs]))
 
 
 # -- verb handlers: ``run(args, *operands)``, see ``_Verb`` -------------------
@@ -139,7 +135,7 @@ def _hall(args, g: SubgroupGraph, w: Word) -> None:
             "index": result.finite_index,
             "basis_h": [format_word(w) for w in result.basis_h],
             "basis_c": [format_word(w) for w in result.basis_c],
-            "graph": _graph_record(result.subgroup),
+            "graph": _graph_record(result.subgroup.based),
         }))
     else:
         print(f"index: {result.finite_index}")
@@ -185,7 +181,7 @@ def _ext_type(args, k: SubgroupGraph, h: SubgroupGraph) -> None:
         print(json.dumps({
             "kind": verdict.kind,
             "free_factor": (
-                _graph_record(verdict.free_factor)
+                _graph_record(verdict.free_factor.based)
                 if verdict.free_factor is not None
                 else None
             ),

@@ -554,50 +554,43 @@ class TypeGraph(NamedTuple):
     host_vertices: tuple[int, ...]  # type vertex -> vertex of the host graph
 
 
-def type_with_anchor(g: BasedGraph) -> TypeGraph:
-    """Type of a folded core graph: the graph with its base stem removed.
-
-    If the base has degree >= 2, or the graph is a single vertex or has
-    no edge, the graph is returned unchanged.  Otherwise the unique arc
-    from the base to the first vertex of degree >= 3 is removed; the
-    result is a core graph with respect to every vertex.
-    """
-    graph, base = g.graph, g.base
-    deg = graph.degrees()
-    if graph.vertex_count == 1 or not graph.edges or deg[base] >= 2:
-        return TypeGraph(graph, base, (), tuple(range(graph.vertex_count)))
-    # walk the stem: base has degree one, interior vertices degree two
+def _stem(g: BasedGraph) -> tuple[int, list[int]]:
+    """The stem of a folded core graph: the arc from the base to the
+    first vertex of degree >= 3, as that vertex (the anchor) and the
+    signed codes the arc reads.  ``(base, [])`` when the base has degree
+    >= 2 or the graph has no edge.  Each degree is read off the vertex's
+    step-table row; a stem vertex after the base has degree two."""
+    graph = g.graph
     table, width = graph._step_table(), graph.alphabet.num_codes
-    stem_codes: list[int] = []
-    removed = {base}
-    v = base
-    in_code: Optional[int] = None
+    v, codes = g.base, []
+    row = table[v * width:v * width + width]
+    if not graph.edges or width - row.count(-1) >= 2:
+        return v, codes
     while True:
-        row = table[v * width:v * width + width]
-        if in_code is not None:
-            row[in_code ^ 1] = -1  # the step back along the stem
         if row.count(-1) != width - 1:
             raise AssertionError("stem interior vertex must have degree two")
         v = max(row)  # the one step left
-        in_code = row.index(v)
-        stem_codes.append(in_code)
-        if deg[v] >= 3:
-            break
-        removed.add(v)
-    keep = [u for u in range(graph.vertex_count) if u not in removed]
-    renum = {u: i for i, u in enumerate(keep)}
-    # an order-preserving renumbering of sorted edges keeps them sorted
-    edges = tuple(
-        (renum[o], x, renum[t])
-        for o, x, t in graph.edges
-        if o not in removed and t not in removed
-    )
-    return TypeGraph(
-        XDigraph._trusted(graph.alphabet, len(keep), edges),
-        renum[v],
-        tuple(stem_codes),
-        tuple(keep),
-    )
+        codes.append(row.index(v))
+        row = table[v * width:v * width + width]
+        if width - row.count(-1) >= 3:
+            return v, codes
+        row[codes[-1] ^ 1] = -1  # the step back along the stem
+
+
+def type_with_anchor(g: BasedGraph) -> TypeGraph:
+    """Type of a folded core graph: the graph with its base stem removed.
+
+    If the base has degree >= 2 or the graph has no edge, the graph is
+    returned unchanged.  Otherwise the stem, the unique arc from the
+    base to the first vertex of degree >= 3 (``_stem``), is removed: what
+    is left is the core at that vertex, the anchor, with the vertices
+    kept in order, and a core graph with respect to every vertex.
+    """
+    anchor, stem = _stem(g)
+    if anchor == g.base:
+        return TypeGraph(g.graph, anchor, (), tuple(range(g.graph.vertex_count)))
+    t = core(g.graph, anchor)
+    return TypeGraph(t.graph, t.vertex_map[anchor], tuple(stem), tuple(t.vertex_map))
 
 
 def type_graph(g: BasedGraph) -> XDigraph:
@@ -699,16 +692,11 @@ def regular_complete(g: XDigraph) -> XDigraph:
     """
     if not is_folded(g):
         raise InvalidInputError("regular_complete needs a folded graph")
+    table, width = g._step_table(), g.alphabet.num_codes
     new_edges = list(g.edges)
     for x in range(g.alphabet.size):
-        has_out = [False] * g.vertex_count
-        has_in = [False] * g.vertex_count
-        for o, y, t in g.edges:
-            if y == x:
-                has_out[o] = True
-                has_in[t] = True
-        missing_out = [v for v in range(g.vertex_count) if not has_out[v]]
-        missing_in = [v for v in range(g.vertex_count) if not has_in[v]]
+        missing_out = [v for v, far in enumerate(table[2 * x::width]) if far < 0]
+        missing_in = [v for v, far in enumerate(table[2 * x + 1::width]) if far < 0]
         if len(missing_out) != len(missing_in):
             raise AssertionError("a folded graph misses as many x-heads as x-tails")
         new_edges.extend((o, x, t) for o, t in zip(missing_out, missing_in))
@@ -724,16 +712,20 @@ def is_regular(g: XDigraph) -> bool:
 # serialization
 
 
-def graph_to_json(g: BasedGraph) -> str:
-    """Serialize a based graph; canonical numbering makes this reproducible."""
+def _graph_record(g: BasedGraph) -> dict:
+    """The JSON record of a based graph, as ``graph_to_json`` writes it."""
     alph = g.graph.alphabet
-    payload = {
+    return {
         "alphabet": "".join(alph.symbols) if alph.single_letter() else list(alph.symbols),
         "vertices": g.graph.vertex_count,
         "base": g.base,
         "edges": [[o, alph.symbols[x], t] for o, x, t in g.graph.edges],
     }
-    return json.dumps(payload)
+
+
+def graph_to_json(g: BasedGraph) -> str:
+    """Serialize a based graph; canonical numbering makes this reproducible."""
+    return json.dumps(_graph_record(g))
 
 
 def graph_from_json(text: str) -> BasedGraph:

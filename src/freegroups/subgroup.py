@@ -413,11 +413,23 @@ def rewrite_in_basis(g: SubgroupGraph, tree: SpanningTree, w: Word) -> tuple[int
     """
     if w.alphabet != g.alphabet:
         raise AlphabetMismatchError("word and subgroup use different alphabets")
-    order = {e: i + 1 for i, e in enumerate(non_tree_edges(g, tree))}
+    return _rewrite(g, tree, _basis_order(g, tree), w.codes)
+
+
+def _basis_order(g: SubgroupGraph, tree: SpanningTree) -> dict[Edge, int]:
+    """The 1-based index of each non-tree edge, its tree basis element."""
+    return {e: i + 1 for i, e in enumerate(non_tree_edges(g, tree))}
+
+
+def _rewrite(
+    g: SubgroupGraph, tree: SpanningTree, order: dict[Edge, int], codes: tuple[int, ...]
+) -> tuple[int, ...]:
+    """``rewrite_in_basis`` of the word with these codes, given the
+    index ``order`` of the non-tree edges (``_basis_order``)."""
     out: list[int] = []
     table, width = g.graph._step_table(), g.alphabet.num_codes
     v = g.base
-    for code in w.codes:
+    for code in codes:
         nxt = table[v * width + code]
         if nxt < 0:
             raise NotAMemberError("word does not lie in the subgroup")
@@ -652,10 +664,12 @@ def hall_completion(h: SubgroupGraph, g: Word) -> HallCompletion:
     The returned basis of L splits over a spanning tree of H extended
     across the new arc.
     """
-    if contains(h, g):
-        raise InvalidInputError("Hall completion needs an element outside H")
+    if g.alphabet != h.alphabet:
+        raise AlphabetMismatchError("word and subgroup use different alphabets")
     graph = h.graph
     v, i = _read(graph, h.base, g.codes)
+    if i == len(g.codes) and v == h.base:
+        raise InvalidInputError("Hall completion needs an element outside H")
     chain: list[Edge] = []
     n = _spell_path(chain, v, g.codes[i:], graph.vertex_count)
     complete = regular_complete(XDigraph(graph.alphabet, n, graph.edges + tuple(chain)))
@@ -693,11 +707,12 @@ def rebase_inside(m: SubgroupGraph, h: SubgroupGraph) -> SubgroupGraph:
     if canonical_morphism(m.based, h.based) is None:
         raise InvalidInputError("rebase_inside needs M to be a subgroup of H")
     tree = spanning_tree(h, geodesic=True)
+    order = _basis_order(h, tree)
     target = synthetic_alphabet(rank(h))
     gens = []
     for w in basis(m).elements:
         codes = []
-        for i in rewrite_in_basis(h, tree, w):
+        for i in _rewrite(h, tree, order, w.codes):
             codes.append(2 * (i - 1) if i > 0 else 2 * (-i - 1) + 1)
         gens.append(free_reduce(target, codes))
     return stallings_graph(target, gens)

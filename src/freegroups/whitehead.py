@@ -34,8 +34,8 @@ and ``#{a-edges} = #V - F(all codes but a)``, since in a folded graph
 no two a-edges leave (or enter) one vertex.  F is the subset-sum
 (zeta) transform of the histogram of the stars: 2r rounds of slice
 additions over a table of 2^(2r) entries.  Every move's size is then
-two lookups in it, at the move's cut and at its complement, which
-``_cut_masks`` lists once per alphabet in ``_multiplier_moves`` order.
+two lookups in it, at the move's cut and at its complement.  The
+moves are listed once per alphabet, as their cuts, in ``_cut_masks``.
 A descent step costs the table plus the 2r(4^(r-1) - 1) moves: 256
 entries and 504 moves at rank 4, 65,536 and 262,128 at rank 8, 16.7
 million entries at rank 12, whatever the size of the graph.
@@ -60,7 +60,7 @@ from operator import add, sub
 from typing import Optional
 
 from .errors import AlphabetMismatchError, InvalidInputError
-from .graph import Edge, XDigraph, _star_masks, canonical_morphism, type_with_anchor
+from .graph import Edge, XDigraph, _star_masks, _stem, canonical_morphism
 from .subgroup import (
     SubgroupGraph,
     _canonical_core,
@@ -135,38 +135,25 @@ def _multiplier_auto(alphabet: Alphabet, a: int, carrier: frozenset[int]) -> Whi
 
 @lru_cache(maxsize=64)
 def enumerate_whitehead(alphabet: Alphabet) -> tuple[WhiteheadAuto, ...]:
-    """The finite Whitehead family: all letter permutation-inversions
-    plus all valid multipliers (A, a), deduplicated by action."""
+    """The finite Whitehead family: all letter permutation-inversions,
+    then the multipliers (A, a) that act nontrivially
+    (``_multiplier_moves``); no two of them act alike."""
     n = alphabet.size
-    autos: dict[tuple, WhiteheadAuto] = {}
-
-    for perm in permutations(range(n)):
-        for signs in range(1 << n):
-            images = tuple(
-                (2 * perm[i] + ((signs >> i) & 1),) for i in range(n)
-            )
-            autos.setdefault(images, WhiteheadAuto(alphabet, "permutation", images))
-
-    for auto in _multiplier_moves(alphabet):
-        autos.setdefault(auto.images, auto)
-
-    return tuple(autos.values())
+    signed = tuple(
+        WhiteheadAuto(alphabet, "permutation", tuple(
+            (2 * perm[i] + (signs >> i & 1),) for i in range(n)
+        ))
+        for perm in permutations(range(n))
+        for signs in range(1 << n)
+    )
+    return signed + _multiplier_moves(alphabet)
 
 
 @lru_cache(maxsize=64)
 def _multiplier_moves(alphabet: Alphabet) -> tuple[WhiteheadAuto, ...]:
-    """All multiplier automorphisms that act nontrivially."""
-    n = alphabet.size
-    out: dict[tuple, WhiteheadAuto] = {}
-    for a in range(2 * n):
-        rest = [c for c in range(2 * n) if c != a and c != a ^ 1]
-        for mask in range(1, 1 << len(rest)):
-            carrier = frozenset(
-                {a} | {c for j, c in enumerate(rest) if (mask >> j) & 1}
-            )
-            auto = _multiplier_auto(alphabet, a, carrier)
-            out.setdefault(auto.images, auto)
-    return tuple(out.values())
+    """All multiplier automorphisms that act nontrivially, one per cut
+    of ``_cut_masks``, in its order."""
+    return tuple(_cut_move(alphabet, i) for i in range(len(_cut_masks(alphabet))))
 
 
 def apply_auto(auto: WhiteheadAuto, w: Word) -> Word:
@@ -254,18 +241,22 @@ def _minimal_cyclic_core(k: SubgroupGraph) -> SubgroupGraph:
 
 def _cyclic_core(g: SubgroupGraph) -> SubgroupGraph:
     """The graph with the stem to its base removed, based where the stem
-    ended: the graph of a conjugate of the subgroup, core at every vertex."""
-    t = type_with_anchor(g.based)
-    anchor = t.host_vertices[t.anchor]
+    ended: the graph of a conjugate of the subgroup, core at every vertex.
+    With no stem that is ``g`` itself: a canonical graph numbered again
+    from its own base is unchanged."""
+    anchor = _stem(g.based)[0]
+    if anchor == g.base:
+        return g
     return _canonical_core(g.alphabet, g.graph._step_table(), g.vertex_count, anchor)[0]
 
 
 @lru_cache(maxsize=64)
 def _cut_masks(alphabet: Alphabet) -> tuple[int, ...]:
-    """The cut ``B = {a} u {x^-1 : x in A, x != a}`` of each move of
-    ``_multiplier_moves``, as a bitmask, in its order: a block of
-    ``4^(r-1) - 1`` moves per multiplier ``a``, in code order, whose
-    carriers count up the other codes as the bits of a mask from 1."""
+    """The multiplier moves, each as its cut ``B = {a} u {x^-1 : x in A,
+    x != a}``, a bitmask: a block of ``4^(r-1) - 1`` moves per multiplier
+    ``a``, in code order, whose carriers count up the other codes as the
+    bits of a mask from 1.  The one enumeration of the moves: their
+    automorphisms (``_cut_move``) and sizes (``_move_sizes``) follow it."""
     n = alphabet.num_codes
     cuts: list[int] = []
     for a in range(n):
@@ -278,7 +269,7 @@ def _cut_masks(alphabet: Alphabet) -> tuple[int, ...]:
 
 
 def _cut_move(alphabet: Alphabet, i: int) -> WhiteheadAuto:
-    """Move ``i`` of ``_multiplier_moves``, read off its cut B:
+    """Move ``i`` of ``_cut_masks``, read off its cut B:
     ``A = {a} u {x^-1 : x in B, x != a}``."""
     cuts = _cut_masks(alphabet)
     n = alphabet.num_codes
@@ -290,7 +281,7 @@ def _cut_move(alphabet: Alphabet, i: int) -> WhiteheadAuto:
 
 def _move_sizes(g: SubgroupGraph, stars: list[int]) -> list[int]:
     """Edge count of the cyclic core of each multiplier image of the
-    cyclic core ``g``, in ``_multiplier_moves`` order, read off the table
+    cyclic core ``g``, in ``_cut_masks`` order, read off the table
     ``F(S) = #{v : stars[v] <= S}``: ``#E + F({}) + F(all codes but a)
     - F(B) - F(B^c)`` (see the module docstring)."""
     n = g.alphabet.num_codes

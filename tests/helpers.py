@@ -18,6 +18,7 @@ from freegroups.graph import (
     Edge,
     Morphism,
     Subgraph,
+    TypeGraph,
     XDigraph,
     _core_numbering,
     _star_masks,
@@ -41,7 +42,7 @@ from freegroups.whitehead import (
     WhiteheadAuto,
     _cyclic_core,
     _move_sizes,
-    _multiplier_moves,
+    _multiplier_auto,
     apply_auto,
     is_free_factor,
     transform_subgroup,
@@ -513,9 +514,58 @@ def component_analysis_by_full_product(
     return reports
 
 
+def type_with_anchor_by_degrees(g: BasedGraph) -> TypeGraph:
+    """Type graph the slow way: one degree pass over the edges, a walk
+    along the stem from the base to the first vertex of degree >= 3, and
+    the survivors renumbered in order."""
+    graph, base = g.graph, g.base
+    deg = graph.degrees()
+    if graph.vertex_count == 1 or not graph.edges or deg[base] >= 2:
+        return TypeGraph(graph, base, (), tuple(range(graph.vertex_count)))
+    steps = step_maps_by_edges(graph)
+    stem: list[int] = []
+    removed = {base}
+    v, back = base, None
+    while True:
+        (code, w), = [(c, u) for c, u in steps[v].items() if c != back]
+        stem.append(code)
+        if deg[w] >= 3:
+            break
+        removed.add(w)
+        v, back = w, code ^ 1
+    keep = [u for u in range(graph.vertex_count) if u not in removed]
+    renum = {u: i for i, u in enumerate(keep)}
+    edges = [(renum[o], x, renum[t]) for o, x, t in graph.edges if o in renum and t in renum]
+    return TypeGraph(XDigraph(graph.alphabet, len(keep), edges), renum[w], tuple(stem), tuple(keep))
+
+
+def cyclic_core_by_degrees(g: SubgroupGraph) -> SubgroupGraph:
+    """The cyclic core as the type graph of ``type_with_anchor_by_degrees``,
+    based at its anchor."""
+    t = type_with_anchor_by_degrees(g.based)
+    return SubgroupGraph(t.graph, t.anchor)
+
+
+@lru_cache(maxsize=None)
+def multiplier_moves_by_carriers(alphabet: Alphabet) -> tuple[WhiteheadAuto, ...]:
+    """The multiplier moves that act nontrivially, by their carriers:
+    per multiplier ``a`` in code order, every nonempty set of the other
+    codes but ``a^-1``, counted up as the bits of a mask from 1, joined
+    to ``a``; a move that acts like an earlier one is dropped."""
+    n = alphabet.num_codes
+    out: dict[tuple, WhiteheadAuto] = {}
+    for a in range(n):
+        rest = [c for c in range(n) if c != a and c != a ^ 1]
+        for mask in range(1, 1 << len(rest)):
+            carrier = frozenset({a} | {c for j, c in enumerate(rest) if mask >> j & 1})
+            auto = _multiplier_auto(alphabet, a, carrier)
+            out.setdefault(auto.images, auto)
+    return tuple(out.values())
+
+
 def move_sizes_by_classes(g: SubgroupGraph, stars: list[int]) -> list[int]:
     """Edge count of the cyclic core of each multiplier image of the
-    cyclic core ``g``, in ``_multiplier_moves`` order, move by move:
+    cyclic core ``g``, in ``multiplier_moves_by_carriers`` order, move by move:
     ``#E - #{a-edges}`` plus the vertices, grouped by star, whose star
     meets both the cut ``B = {a} u {x^-1 : x in A, x != a}`` and its
     complement."""
@@ -524,7 +574,7 @@ def move_sizes_by_classes(g: SubgroupGraph, stars: list[int]) -> list[int]:
         letters[x] += 1
     classes = Counter(stars).items()
     sizes = []
-    for auto in _multiplier_moves(g.alphabet):
+    for auto in multiplier_moves_by_carriers(g.alphabet):
         a = auto.multiplier
         b = 1 << a
         for x in auto.carrier:
@@ -543,17 +593,18 @@ def transform_by_basis(auto: WhiteheadAuto, g: SubgroupGraph) -> SubgroupGraph:
 def minimal_cyclic_core_by_enumeration(k: SubgroupGraph) -> tuple[SubgroupGraph, int]:
     """The descent on cyclic cores over the enumerated move family, and
     its number of steps: each step scores every move of
-    ``_multiplier_moves`` by ``move_sizes_by_classes``, builds the image
-    of the first one of least size from a basis, and checks its size."""
-    cur = _cyclic_core(k)
-    moves = _multiplier_moves(k.alphabet)
+    ``multiplier_moves_by_carriers`` by ``move_sizes_by_classes``, builds
+    the image of the first one of least size from a basis, and checks its
+    size.  Cyclic cores are cut by ``cyclic_core_by_degrees``."""
+    cur = cyclic_core_by_degrees(k)
+    moves = multiplier_moves_by_carriers(k.alphabet)
     steps = 0
     while cur.vertex_count > 1:
         sizes = move_sizes_by_classes(cur, _star_masks(cur.graph))
         best = min(range(len(sizes)), key=sizes.__getitem__, default=None)
         if best is None or sizes[best] >= cur.edge_count:
             break
-        image = _cyclic_core(transform_by_basis(moves[best], cur))
+        image = cyclic_core_by_degrees(transform_by_basis(moves[best], cur))
         if image.edge_count != sizes[best]:
             raise AssertionError("a built image differs from its predicted size")
         cur, steps = image, steps + 1
@@ -565,7 +616,7 @@ def free_factor_by_based_descent(k: SubgroupGraph, plateau_budget: int = 10_000)
     based graph: every descent step builds the image of every multiplier
     move and keeps the smallest; a breadth-first sweep of the equal-size
     plateau, keyed by based graphs, looks for a way further down."""
-    moves = _multiplier_moves(k.alphabet)
+    moves = multiplier_moves_by_carriers(k.alphabet)
 
     def smallest_image(g: SubgroupGraph) -> Optional[SubgroupGraph]:
         images = [transform_by_basis(auto, g) for auto in moves]
@@ -613,7 +664,7 @@ def smaller_state_on_plateau(
     ``budget`` of them raise ``ResourceLimitError``.
     """
     size = start.edge_count
-    moves = _multiplier_moves(start.alphabet)
+    moves = multiplier_moves_by_carriers(start.alphabet)
     visited = {_conjugacy_key(start)}
     frontier = deque([start])
     while frontier:

@@ -256,6 +256,15 @@ def test_type_anchor_and_stem():
     assert t.graph.vertex_count == 2
 
 
+def test_type_of_a_graph_that_is_no_core_raises():
+    # the stem walk meets a vertex of degree other than two before one
+    # of degree three: a path ending in a leaf, and a base with no edge
+    # in a graph that has one; a raise, so it holds under -O too
+    for g in (XDigraph(AB, 3, [(0, 0, 1), (1, 1, 2)]), XDigraph(AB, 2, [(1, 0, 1)])):
+        with pytest.raises(AssertionError, match="stem interior vertex must have degree two"):
+            type_with_anchor(BasedGraph(g, 0))
+
+
 # -- products and components -------------------------------------------------
 
 

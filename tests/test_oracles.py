@@ -47,6 +47,7 @@ from freegroups.graph import (
     is_folded,
     product,
     type_graph,
+    type_with_anchor,
 )
 from freegroups.intersect import component_analysis, intersection, is_cyclonormal, is_malnormal
 from freegroups.subgroup import (
@@ -79,6 +80,7 @@ from helpers import (
     conjugate_unfused,
     core_by_leaf_deletion,
     core_order_by_maps,
+    cyclic_core_by_degrees,
     free_factor_by_based_descent,
     intersection_by_full_product,
     join_unfused,
@@ -93,6 +95,7 @@ from helpers import (
     subgroup_from_json_by_passes,
     table_of_maps,
     transform_by_basis,
+    type_with_anchor_by_degrees,
 )
 
 ABCD = Alphabet.from_string("abcd")
@@ -611,6 +614,37 @@ print(raised)
         '0 {"alphabet": "ab", "vertices": 2, "base": 0, "edges": [[0, "a", 1], [1, "b", 0]]}',
         "2",
     ], done.stderr
+
+
+# -- type graphs and cyclic cores ---------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([A1, AB, ABC]), st.integers(0, 2**32))
+def test_type_with_anchor_matches_the_degree_pass(alphabet, seed):
+    # the stem walk and the core at its end give the type graph, anchor,
+    # stem and host vertices that a degree pass, a stem walk and an
+    # order-keeping renumbering give, on random subgroups and conjugates
+    rng = Random(seed)
+    h = rand_subgroup(rng, alphabet, max_gens=3, max_len=9)
+    for g in (h, conjugate(h, rand_word(rng, alphabet, 6)), trivial_subgroup(alphabet)):
+        assert type_with_anchor(g.based) == type_with_anchor_by_degrees(g.based)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([A1, AB, ABC]), st.integers(0, 2**32))
+def test_cyclic_core_is_the_conjugate_by_the_inverse_stem(alphabet, seed):
+    # a graph whose base has degree two or more is its own cyclic core,
+    # the very object; otherwise the cyclic core is the conjugate by the
+    # inverse of the stem, s^-1 H s, based where the stem ends
+    rng = Random(seed)
+    h = rand_subgroup(rng, alphabet, max_gens=3, max_len=9)
+    for g in (h, conjugate(h, rand_word(rng, alphabet, 6)), trivial_subgroup(alphabet)):
+        c = _cyclic_core(g)
+        if g.graph.degrees()[g.base] >= 2:
+            assert c is g
+        stem = Word(alphabet, type_with_anchor_by_degrees(g.based).stem)
+        assert c == conjugate(g, invert(stem)) == cyclic_core_by_degrees(g)
 
 
 # -- Whitehead descent ------------------------------------------------------------

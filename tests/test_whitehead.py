@@ -30,7 +30,15 @@ from freegroups.whitehead import (
 )
 from freegroups.words import Alphabet, format_word, parse_word
 
-from helpers import AB, A1, is_subgraph_embedding, rand_gens, rand_subgroup, rand_word
+from helpers import (
+    AB,
+    A1,
+    is_subgraph_embedding,
+    multiplier_moves_by_carriers,
+    rand_gens,
+    rand_subgroup,
+    rand_word,
+)
 
 P = lambda s: parse_word(s, AB)
 
@@ -105,6 +113,28 @@ def test_transform_subgroup_consistency():
             AB, [apply_auto(auto, w) for w in basis(h).elements]
         )
         assert transform_subgroup(auto, h) == direct
+
+
+def test_multiplier_moves_match_the_carrier_loop():
+    # the moves read off the cut masks are the carrier loop's, in its
+    # order and with its carriers, at ranks 0-5
+    for r, count in enumerate((0, 0, 12, 90, 504, 2550)):
+        alphabet = Alphabet.from_string("abcde"[:r])
+        moves, oracle = _multiplier_moves(alphabet), multiplier_moves_by_carriers(alphabet)
+        assert len(moves) == count
+        assert moves == oracle
+        assert [m.carrier for m in moves] == [m.carrier for m in oracle]
+
+
+def test_whitehead_family_acts_without_repeats():
+    # the signed permutations, then the multiplier moves: no two act alike
+    for r, count in enumerate((1, 2, 20, 138, 888)):
+        alphabet = Alphabet.from_string("abcd"[:r])
+        fam, moves = enumerate_whitehead(alphabet), _multiplier_moves(alphabet)
+        assert len(fam) == len({auto.images for auto in fam}) == count
+        signed = len(fam) - len(moves)
+        assert fam[signed:] == moves
+        assert {auto.kind for auto in fam[:signed]} == {"permutation"}
 
 
 def test_ambient_free_factor_examples():
