@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import InvalidInputError, ResourceLimitError
 from .graph import Morphism, Subgraph, _find, _fold_merges, canonical_morphism
@@ -396,12 +396,21 @@ def _isolation_witness(
     return IsolationResult(False, (f, m), True)
 
 
-def _closure_among(candidates: list[PrincipalQuotient], kind: str) -> SubgroupGraph:
-    """Unique minimal member of a nonempty set of quotients."""
-    for m in candidates:
-        if all(_refines(m.quotient_map, e.quotient_map) for e in candidates):
-            if any(e != m and _refines(e.quotient_map, m.quotient_map) for e in candidates):
+def _least_extension(
+    k: SubgroupGraph, max_vertices: int, keep: Callable[[SubgroupGraph], bool], name: str, kind: str
+) -> SubgroupGraph:
+    """Unique minimal member, under refinement, of the algebraic extensions
+    of K whose graphs ``keep`` accepts; ``name`` is the caller's, for the
+    error on a trivial K, and ``kind`` names the property in the checks."""
+    if k.is_trivial():
+        raise InvalidInputError(f"{name} is defined for nontrivial subgroups")
+    found = [e for e in _algebraic_quotients(k, max_vertices) if keep(e.graph)]
+    for m in found:
+        if all(_refines(m.quotient_map, e.quotient_map) for e in found):
+            if any(e != m and _refines(e.quotient_map, m.quotient_map) for e in found):
                 raise AssertionError(f"{kind} closure must be unique")
+            if rank(m.graph) > rank(k):
+                raise AssertionError("a closure never has larger rank than K")
             return m.graph
     raise AssertionError(f"{kind} extensions must contain a minimum")
 
@@ -412,16 +421,10 @@ def malnormal_closure(
     plateau_budget: int = DEFAULT_PLATEAU_BUDGET,
 ) -> SubgroupGraph:
     """Smallest malnormal subgroup containing K: the unique minimal
-    malnormal member of the algebraic extensions.  Its rank never
-    exceeds the rank of K.  ``plateau_budget`` has no effect."""
-    if k.is_trivial():
-        raise InvalidInputError("malnormal closure is defined for nontrivial subgroups")
-    exts = _algebraic_quotients(k, max_vertices)
-    mal = [e for e in exts if is_malnormal(e.graph)[0]]
-    result = _closure_among(mal, "malnormal")
-    if rank(result) > rank(k):
-        raise AssertionError("a closure never has larger rank than K")
-    return result
+    malnormal member of the algebraic extensions (``_least_extension``).
+    Its rank never exceeds the rank of K.  ``plateau_budget`` has no effect."""
+    return _least_extension(
+        k, max_vertices, lambda g: is_malnormal(g)[0], "malnormal closure", "malnormal")
 
 
 def isolator(
@@ -432,22 +435,13 @@ def isolator(
     state_limit: int = DEFAULT_ISOLATED_STATE_LIMIT,
 ) -> SubgroupGraph:
     """Smallest isolated subgroup containing K: the unique minimal
-    isolated member of the algebraic extensions.
+    isolated member of the algebraic extensions (``_least_extension``).
 
     Malnormal extensions are isolated outright, so the transition-monoid
     test only runs on the rest, under ``state_limit``.
     ``plateau_budget`` and ``depth_override`` have no effect.
     """
-    if k.is_trivial():
-        raise InvalidInputError("isolator is defined for nontrivial subgroups")
-    exts = _algebraic_quotients(k, max_vertices)
-    iso = [
-        e
-        for e in exts
-        if is_malnormal(e.graph)[0]
-        or is_isolated(e.graph, depth_override, state_limit).isolated
-    ]
-    result = _closure_among(iso, "isolated")
-    if rank(result) > rank(k):
-        raise AssertionError("a closure never has larger rank than K")
-    return result
+    def isolated(g: SubgroupGraph) -> bool:
+        return is_malnormal(g)[0] or is_isolated(g, depth_override, state_limit).isolated
+
+    return _least_extension(k, max_vertices, isolated, "isolator", "isolated")

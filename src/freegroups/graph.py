@@ -43,19 +43,29 @@ class XDigraph:
     """Finite labeled digraph; multi-edges and loops are permitted.
 
     Edges are normalized to a sorted tuple, so two graphs are equal iff
-    they have the same alphabet, vertex count and edge multiset.
+    they have the same alphabet, vertex count and edge multiset.  The
+    vertex count, endpoints and labels must be exact ints (no bools or
+    floats) in range; anything else raises ``InvalidInputError``.
     """
 
     __slots__ = ("alphabet", "vertex_count", "edges", "_steps")
 
     def __init__(self, alphabet: Alphabet, vertex_count: int, edges: Iterable[Edge]):
-        edges = tuple(sorted(tuple(e) for e in edges))
+        # bool is a subclass of int, so the exact type is tested, as in graph_from_json
+        if type(vertex_count) is not int or vertex_count < 0:
+            raise InvalidInputError(f"vertex count {vertex_count!r} is not a non-negative integer")
         n = alphabet.size
-        for o, x, t in edges:
-            if not (0 <= o < vertex_count and 0 <= t < vertex_count):
-                raise InvalidInputError(f"edge {(o, x, t)} has a vertex out of range")
-            if not 0 <= x < n:
-                raise InvalidInputError(f"edge {(o, x, t)} has an invalid label")
+        try:
+            edges = tuple(sorted(map(tuple, edges)))
+            for o, x, t in edges:
+                if type(o) is not int or type(x) is not int or type(t) is not int:
+                    raise InvalidInputError(f"edge {(o, x, t)} needs integer endpoints and label")
+                if not (0 <= o < vertex_count and 0 <= t < vertex_count):
+                    raise InvalidInputError(f"edge {(o, x, t)} has a vertex out of range")
+                if not 0 <= x < n:
+                    raise InvalidInputError(f"edge {(o, x, t)} has an invalid label")
+        except (TypeError, ValueError):  # an entry that is no triple, or does not compare
+            raise InvalidInputError("edges must be (origin, letter, terminus) triples") from None
         self.alphabet = alphabet
         self.vertex_count = vertex_count
         self.edges = edges
@@ -618,7 +628,7 @@ def product(
     pruned, except that ``base_pair`` is always retained.
     """
     if a.alphabet != b.alphabet:
-        raise InvalidInputError("product factors must share an alphabet")
+        raise AlphabetMismatchError("product factors must share an alphabet")
     by_label: list[list[Edge]] = [[] for _ in range(b.alphabet.size)]
     for e in b.edges:
         by_label[e[1]].append(e)

@@ -17,17 +17,18 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import AlphabetMismatchError, InvalidInputError
-from .graph import XDigraph, _star_masks, _stars
+from .graph import Edge, XDigraph, _star_masks, _stars, is_folded
 from .subgroup import (
     SpanningTree,
     SubgroupGraph,
     _canonical_core,
+    _spell_path,
     conjugate,
     contains,
     rank,
     spanning_tree,
 )
-from .words import Word, invert, multiply
+from .words import Word, _check_same_alphabet, invert, multiply
 
 
 def intersection(h: SubgroupGraph, k: SubgroupGraph) -> SubgroupGraph:
@@ -290,27 +291,22 @@ def is_cyclonormal(h: SubgroupGraph) -> bool:
 
 
 def is_immersed(gens: Sequence[Word]) -> bool:
-    """No-cancellation criterion on a generating tuple.
-
-    True iff every product of two generators or inverses (other than a
-    factor against its own inverse) is as long as the factors combined;
-    equivalently, the wedge of loops spelling the tuple is already
-    folded.  Generators must be nontrivial.
-    """
+    """No-cancellation criterion on a generating tuple: True iff the
+    wedge of loops spelling it at one vertex (``_spell_path``) is already
+    folded (Stallings), i.e. no product of two generators or inverses,
+    other than a factor against its own inverse, cancels.  Generators
+    must be nontrivial and share one alphabet; an empty tuple is immersed."""
     gens = list(gens)
+    if any(not w.codes for w in gens):
+        raise InvalidInputError("immersion is defined for nontrivial generators")
+    if not gens:
+        return True
+    edges: list[Edge] = []
+    n = 1
     for w in gens:
-        if not w.codes:
-            raise InvalidInputError("immersion is defined for nontrivial generators")
-    signed = [(i, w) for i, w in enumerate(gens)] + [
-        (~i, invert(w)) for i, w in enumerate(gens)
-    ]
-    for iu, u in signed:
-        for iv, v in signed:
-            if iu == ~iv:
-                continue  # u against its own inverse occurrence
-            if len(multiply(u, v)) != len(u) + len(v):
-                return False
-    return True
+        _check_same_alphabet(gens[0], w)
+        n = _spell_path(edges, 0, w.codes, n, end=0)
+    return is_folded(XDigraph(gens[0].alphabet, n, edges))
 
 
 def hanna_neumann_check(h: SubgroupGraph, k: SubgroupGraph) -> bool:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from random import Random
-from typing import AbstractSet, Iterable, NamedTuple, Optional, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     AlphabetMismatchError,
@@ -50,7 +50,6 @@ from .graph import (
     is_regular,
     regular_complete,
     trace_path,
-    transport,
     type_with_anchor,
 )
 from .words import (Alphabet, Word, cyclic_reduce, free_reduce, identity, invert, multiply,
@@ -566,55 +565,49 @@ def conjugate(g: SubgroupGraph, w: Word) -> SubgroupGraph:
     return _canonical_core(g.alphabet, table, n, u)[0]
 
 
+def _type_conjugators(
+    k: SubgroupGraph, h: SubgroupGraph, fits: Callable[[BasedGraph, BasedGraph], object]
+) -> Iterator[Word]:
+    """Candidate conjugators g for g K g^-1 <= H, read off the type graphs.
+
+    For each vertex v of Type(H), in vertex order, where ``fits`` finds
+    a map from Type(K) at its anchor to Type(H) at v, yields
+    ``g = p_v * s_K^-1``: p_v is the geodesic-tree path of H to the host
+    vertex of v, and s_K the stem label of K.  Nothing is verified here.
+    """
+    if h.alphabet != k.alphabet:
+        raise AlphabetMismatchError("subgroups use different alphabets")
+    tk = type_with_anchor(k.based)
+    th = type_with_anchor(h.based)
+    source = BasedGraph(tk.graph, tk.anchor)
+    stem_inverse = invert(Word(k.alphabet, tk.stem))
+    tree = spanning_tree(h, geodesic=True)
+    for v, host_v in enumerate(th.host_vertices):
+        if fits(source, BasedGraph(th.graph, v)) is not None:
+            yield multiply(tree.path_word(host_v), stem_inverse)
+
+
 def conjugacy_equivalent(h: SubgroupGraph, k: SubgroupGraph) -> Optional[Word]:
     """A verified conjugator g with g H g^-1 = K, or None.
 
     H and K are conjugate iff their type graphs are isomorphic as
-    unbased graphs; each base choice in Type(K) yields a candidate
-    ``g = s_K * s_H^-1`` from the stem/path labels, and the
-    lexicographically least verified candidate is returned.
+    unbased graphs, so the candidates are those of ``_type_conjugators``
+    under based isomorphism; the shortlex least verified one is returned.
     """
-    if h.alphabet != k.alphabet:
-        raise AlphabetMismatchError("subgroups use different alphabets")
-    th = type_with_anchor(h.based)
-    tk = type_with_anchor(k.based)
-    s_h = Word(h.alphabet, th.stem)
-    tree_k = spanning_tree(k, geodesic=True)
-    best: Optional[Word] = None
-    for v, host_v in enumerate(tk.host_vertices):
-        if based_isomorphism(
-            BasedGraph(th.graph, th.anchor), BasedGraph(tk.graph, v)
-        ) is None:
-            continue
-        g = multiply(tree_k.path_word(host_v), invert(s_h))
-        if conjugate(h, g) == k:
-            if best is None or g.shortlex_key() < best.shortlex_key():
-                best = g
-    return best
+    found = (g for g in _type_conjugators(h, k, based_isomorphism) if conjugate(h, g) == k)
+    return min(found, key=Word.shortlex_key, default=None)
 
 
 def conjugate_into(k: SubgroupGraph, h: SubgroupGraph) -> Optional[Word]:
     """A verified g with g K g^-1 <= H, or None.
 
-    Exists iff some morphism Type(K) -> Type(H) does; the witness is
-    assembled from the stem label of K and a path label in H.
+    Exists iff some morphism Type(K) -> Type(H) does, so the candidates
+    are those of ``_type_conjugators`` under the canonical morphism; the
+    shortlex least verified one is returned.
     """
-    if h.alphabet != k.alphabet:
-        raise AlphabetMismatchError("subgroups use different alphabets")
-    tk = type_with_anchor(k.based)
-    th = type_with_anchor(h.based)
-    f = Word(k.alphabet, tk.stem)
-    tree_h = spanning_tree(h, geodesic=True)
-    best: Optional[Word] = None
-    for v, host_v in enumerate(th.host_vertices):
-        if transport(tk.graph, tk.anchor, th.graph, v) is None:
-            continue
-        g = multiply(tree_h.path_word(host_v), invert(f))
-        candidate = conjugate(k, g)
-        if canonical_morphism(candidate.based, h.based) is not None:
-            if best is None or g.shortlex_key() < best.shortlex_key():
-                best = g
-    return best
+    found = (g for g in _type_conjugators(k, h, canonical_morphism)
+             if canonical_morphism(conjugate(k, g).based, h.based) is not None)
+    return min(found, key=Word.shortlex_key, default=None)
 
 
 def power_in(h: SubgroupGraph, g: Word) -> Optional[int]:

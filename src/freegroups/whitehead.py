@@ -66,7 +66,6 @@ from .subgroup import (
     _canonical_core,
     _fold_core,
     _spell_path,
-    rank,
     rebase_inside,
 )
 from .words import Alphabet, Word, free_reduce
@@ -159,7 +158,7 @@ def _multiplier_moves(alphabet: Alphabet) -> tuple[WhiteheadAuto, ...]:
 def apply_auto(auto: WhiteheadAuto, w: Word) -> Word:
     """Letter-wise substitution followed by free reduction."""
     if w.alphabet != auto.alphabet:
-        raise InvalidInputError("automorphism and word use different alphabets")
+        raise AlphabetMismatchError("automorphism and word use different alphabets")
     out: list[int] = []
     for code in w.codes:
         img = auto.images[code >> 1]
@@ -320,6 +319,4 @@ def is_free_factor(
     """
     if canonical_morphism(k.based, h.based) is None:
         raise InvalidInputError("is_free_factor needs K to be a subgroup of H")
-    if rank(h) == 0:
-        return True  # both trivial
     return is_free_factor_of_ambient(rebase_inside(k, h))

@@ -271,16 +271,25 @@ def spans(sub: Subgraph, host: XDigraph) -> bool:
     return len(sub.vertices) == host.vertex_count and len(sub.edges) == len(host.edges)
 
 
-def wedge_graph(gens: Sequence[Word]) -> XDigraph:
-    """The wedge of loops spelling ``gens``, unfolded; used to cross-check
-    the immersion criterion against foldedness."""
-    if not gens:
-        raise InvalidInputError("wedge_graph needs at least one generator")
-    edges: list[Edge] = []
-    n = 1
+def immersed_by_products(gens: Sequence[Word]) -> bool:
+    """The immersion criterion pair by pair: every product of two
+    generators or inverses, other than a factor against its own inverse,
+    is as long as the factors combined.  O(k^2 * L) for k generators of
+    length at most L; the oracle of ``is_immersed``."""
+    gens = list(gens)
     for w in gens:
-        n = _spell_path(edges, 0, w.codes, n, end=0)
-    return XDigraph(gens[0].alphabet, n, edges)
+        if not w.codes:
+            raise InvalidInputError("immersion is defined for nontrivial generators")
+    signed = [(i, w) for i, w in enumerate(gens)] + [
+        (~i, invert(w)) for i, w in enumerate(gens)
+    ]
+    for iu, u in signed:
+        for iv, v in signed:
+            if iu == ~iv:
+                continue  # u against its own inverse occurrence
+            if len(multiply(u, v)) != len(u) + len(v):
+                return False
+    return True
 
 
 def step_maps_by_edges(g: XDigraph) -> list[dict[int, int]]:

@@ -1,5 +1,6 @@
 """Graph layer: folding, cores, tracing, morphisms, products, completion."""
 
+import re
 from random import Random
 
 import pytest
@@ -41,6 +42,28 @@ def fig3_graph() -> XDigraph:
 
 def two_cycle() -> XDigraph:
     return XDigraph(AB, 2, [(0, 0, 1), (1, 0, 0)])
+
+
+@pytest.mark.parametrize(
+    "vertex_count, edges, message",
+    [
+        (-3, [], "vertex count -3"),
+        (2.5, [], "vertex count 2.5"),
+        ("2", [], "vertex count '2'"),
+        (True, [], "vertex count True"),
+        (2, [(0, 0.0, 1)], "edge (0, 0.0, 1) needs integer"),
+        (2, [(0, 0, True)], "edge (0, 0, True) needs integer"),
+        (2, [(0, 0, 1), (0, "a", 1)], "triples"),
+        (2, [(0, 0)], "triples"),
+        (2, [5], "triples"),
+        (2, [(0, 0, 2)], "edge (0, 0, 2) has a vertex out of range"),
+        (2, [(0, 2, 1)], "edge (0, 2, 1) has an invalid label"),
+    ],
+)
+def test_xdigraph_rejects_bad_vertex_count_and_edge_entries(vertex_count, edges, message):
+    # graph_from_json's rule: exact ints, so no bool, float or str passes
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        XDigraph(AB, vertex_count, edges)
 
 
 # -- foldedness -------------------------------------------------------------

@@ -8,8 +8,7 @@ from random import Random
 
 import pytest
 
-from freegroups.errors import InvalidInputError
-from freegroups.graph import is_folded
+from freegroups.errors import AlphabetMismatchError, InvalidInputError
 from freegroups.intersect import (
     component_analysis,
     hanna_neumann_check,
@@ -26,9 +25,17 @@ from freegroups.subgroup import (
     stallings_graph,
     trivial_subgroup,
 )
-from freegroups.words import format_word, parse_word
+from freegroups.words import format_word, invert, parse_word
 
-from helpers import AB, exponents_in, rand_gens, rand_subgroup, rand_word, wedge_graph
+from helpers import (
+    AB,
+    ABC,
+    exponents_in,
+    immersed_by_products,
+    rand_gens,
+    rand_subgroup,
+    rand_word,
+)
 
 P = lambda s: parse_word(s, AB)
 
@@ -180,11 +187,31 @@ def test_immersed_examples():
         is_immersed([P("")])
 
 
-def test_immersed_matches_wedge_foldedness():
-    rng = Random(45)
-    for _ in range(60):
+def test_immersed_matches_pairwise_products():
+    rng = Random(47)
+    cases = [[], [P("a")], [P("a"), P("a")], [P("a"), P("A")], [P("ab"), P("B")], [P("abA")]]
+    for _ in range(200):
         gens = rand_gens(rng, AB, 3, 4)
-        assert is_immersed(gens) == is_folded(wedge_graph(gens))
+        pick = rng.random()
+        if pick < 0.2:
+            gens.append(rng.choice(gens))  # a repeated generator
+        elif pick < 0.4:
+            gens.append(invert(rng.choice(gens)))  # a generator and its inverse
+        elif pick < 0.6:
+            gens.append(parse_word(rng.choice("aAbB"), AB))  # a one-letter word
+        cases.append(gens)
+    for gens in cases:
+        assert is_immersed(gens) == immersed_by_products(gens), gens
+    # the two error cases: an empty word, reported before anything else,
+    # and generators over two alphabets
+    mixed = [P("ab"), parse_word("ab", ABC)]
+    for bad, error in (([P("ab"), P("")], InvalidInputError), (mixed, AlphabetMismatchError)):
+        for decide in (is_immersed, immersed_by_products):
+            with pytest.raises(InvalidInputError) as raised:
+                decide(bad)
+            assert type(raised.value) is error
+    with pytest.raises(InvalidInputError, match="nontrivial"):
+        is_immersed(mixed + [P("")])
 
 
 def test_immersed_implies_cyclonormal():

@@ -15,6 +15,9 @@ from freegroups.graph import (
     canonical_morphism,
     is_regular,
     isomorphic,
+    product,
+    trace_path,
+    transport,
     type_graph,
 )
 from freegroups.subgroup import (
@@ -43,7 +46,8 @@ from freegroups.subgroup import (
     stallings_graph,
     trivial_subgroup,
 )
-from freegroups.whitehead import is_free_factor
+from freegroups.intersect import component_analysis, intersection, is_immersed
+from freegroups.whitehead import apply_auto, enumerate_whitehead, is_free_factor, transform_subgroup
 from freegroups.words import Alphabet, Word, format_word, invert, multiply, parse_word
 
 from helpers import AB, A1, product_words, rand_gens, rand_subgroup, rand_word
@@ -612,6 +616,37 @@ def test_k_in_h_functions_reject_two_alphabets(call):
     k = stallings_graph(XY, [parse_word("xy", XY)])
     with pytest.raises(AlphabetMismatchError):
         call(k, full_group(AB))
+
+
+# every public function of two operands, called on H = <ab> over ab and
+# X = <xy> or the word xy over xy: the same codes, other alphabets
+MISMATCHED_CALLS = {
+    "intersection": lambda h, x, w: intersection(h, x),
+    "component_analysis": lambda h, x, w: component_analysis(h, x),
+    "stallings_graph": lambda h, x, w: stallings_graph(AB, [P("a"), w]),
+    "contains": lambda h, x, w: contains(h, w),
+    "trace_path": lambda h, x, w: trace_path(h.graph, h.base, w),
+    "transport": lambda h, x, w: transport(h.graph, h.base, x.graph, x.base),
+    "multiply": lambda h, x, w: multiply(P("ab"), w),
+    "power_in": lambda h, x, w: power_in(h, w),
+    "conjugate": lambda h, x, w: conjugate(h, w),
+    "conjugacy_equivalent": lambda h, x, w: conjugacy_equivalent(h, x),
+    "conjugate_into": lambda h, x, w: conjugate_into(x, h),
+    "hall_completion": lambda h, x, w: hall_completion(h, w),
+    "join": lambda h, x, w: join(h, x),
+    "product": lambda h, x, w: product(h.graph, x.graph),
+    "apply_auto": lambda h, x, w: apply_auto(enumerate_whitehead(AB)[-1], w),
+    "transform_subgroup": lambda h, x, w: transform_subgroup(enumerate_whitehead(AB)[-1], x),
+    "is_immersed": lambda h, x, w: is_immersed([P("ab"), w]),
+}
+
+
+@pytest.mark.parametrize("name", MISMATCHED_CALLS)
+def test_two_operand_functions_raise_alphabet_mismatch(name):
+    h = stallings_graph(AB, [P("ab")])
+    w = parse_word("xy", XY)
+    with pytest.raises(AlphabetMismatchError):
+        MISMATCHED_CALLS[name](h, stallings_graph(XY, [w]), w)
 
 
 def test_far_more_vertices_than_edges_is_rejected_cheaply(capsys):

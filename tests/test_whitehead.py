@@ -196,6 +196,13 @@ def test_relative_free_factor_examples():
         is_free_factor(stallings_graph(AB, [P("b")]), stallings_graph(AB, [P("a")]))
 
 
+def test_trivial_subgroup_is_a_free_factor_of_itself():
+    # rebase_inside gives the trivial subgroup over the empty alphabet,
+    # which the ambient test accepts; no rank-zero special case is needed
+    assert is_free_factor(trivial_subgroup(AB), trivial_subgroup(AB))
+    assert is_free_factor(trivial_subgroup(AB), stallings_graph(AB, [P("ab")]))
+
+
 def test_free_factor_self_and_rank_bound():
     rng = Random(54)
     for _ in range(10):
