@@ -24,7 +24,7 @@ malnormal closures and isolators.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -71,9 +71,10 @@ def principal_quotients(
     epimorphism onto a folded graph factors through steps that identify
     two classes and fold, so kernels are enumerated from K's by such
     steps, each closed by ``graph._fold_merges``, the merge loop of
-    every fold, over a copy of the class step table.  Images of core
-    graphs stay core.  Each graph is built once, at the end; every step
-    is recorded in ``step_sources``.
+    every fold, over a copy of the class step table: the roots of its
+    forest are the new kernel.  Each kernel's class table is built once
+    and gives its graph (images of core graphs stay core) and quotient
+    map; every step is recorded in ``step_sources``.
     Includes the graph of K itself.  Ordered by decreasing vertex count,
     then canonical form.
     """
@@ -85,30 +86,26 @@ def principal_quotients(
     k_table, n = k.graph._step_table(), k.vertex_count
     identity = tuple(range(n))
     sources: dict[tuple[int, ...], set[tuple[int, ...]]] = {identity: set()}
+    found: dict[tuple[int, ...], tuple[SubgroupGraph, Morphism]] = {}
     stack = [identity]
     while stack:
         kernel = stack.pop()
         table = _class_steps(k_table, kernel)
-        for a, b in combinations(sorted(set(kernel)), 2):
+        graph, order = _canonical_core(k.alphabet, table, n, kernel[k.base])
+        classes = sorted(set(kernel))
+        if graph.vertex_count != len(classes):
+            raise AssertionError("a quotient of a core graph must be core")
+        found[kernel] = graph, Morphism(tuple(map(order.index, kernel)))
+        for a, b in combinations(classes, 2):
             parent = list(identity)
             _fold_merges(table[:], parent, [(a, b)])  # the merge loop writes into the rows
-            merged = _kernel([_find(parent, c) for c in kernel])
+            merged = tuple([_find(parent, c) for c in kernel])
             if merged not in sources:
-                sources[merged] = set()
                 stack.append(merged)
-            sources[merged].add(kernel)
-    found: dict[tuple[int, ...], PrincipalQuotient] = {}
-    for kernel in sources:
-        graph, order = _canonical_core(
-            k.alphabet, _class_steps(k_table, kernel), n, kernel[k.base]
-        )
-        if graph.vertex_count != len(set(kernel)):
-            raise AssertionError("a quotient of a core graph must be core")
-        pos = {c: i for i, c in enumerate(order)}
-        found[kernel] = PrincipalQuotient(graph, Morphism(tuple(pos[c] for c in kernel)))
+            sources.setdefault(merged, set()).add(kernel)
     quotients = [
-        replace(pq, step_sources=frozenset(found[s].graph.canonical_key() for s in srcs))
-        for pq, srcs in zip(found.values(), sources.values())
+        PrincipalQuotient(g, qmap, frozenset(found[s][0].canonical_key() for s in sources[kernel]))
+        for kernel, (g, qmap) in found.items()
     ]
     return sorted(quotients, key=lambda pq: (-pq.graph.vertex_count, pq.graph.canonical_key()))
 

@@ -166,6 +166,12 @@ class XDigraph:
         return len(next(_components(self)).vertices) == self.vertex_count
 
 
+def _check_vertex(g: XDigraph, v: int, name: str = "vertex") -> None:
+    """Raise ``InvalidInputError`` unless ``v``, an exact int, is a vertex of ``g``."""
+    if type(v) is not int or not 0 <= v < g.vertex_count:
+        raise InvalidInputError(f"{name} {v} out of range")
+
+
 @dataclass(frozen=True)
 class BasedGraph:
     """An X-digraph with a marked base vertex."""
@@ -174,8 +180,7 @@ class BasedGraph:
     base: int
 
     def __post_init__(self):
-        if not 0 <= self.base < self.graph.vertex_count:
-            raise InvalidInputError(f"base vertex {self.base} out of range")
+        _check_vertex(self.graph, self.base, "base vertex")
 
 
 @dataclass(frozen=True)
@@ -448,8 +453,7 @@ def core(g: XDigraph, v: int) -> CoreResult:
     at ``v`` is unchanged.  Surviving vertices keep their relative
     order.  Raises ``InvalidInputError`` unless ``g`` is folded.
     """
-    if not 0 <= v < g.vertex_count:
-        raise InvalidInputError(f"vertex {v} out of range")
+    _check_vertex(g, v)
     order = _core_numbering(g._step_table(), g.vertex_count, v)[0]
     vmap = {u: i for i, u in enumerate(sorted(order))}
     new_edges = [(vmap[o], x, vmap[t]) for o, x, t in g.edges if o in vmap and t in vmap]
@@ -461,6 +465,7 @@ def trace_path(g: XDigraph, start: int, w: Word) -> Optional[int]:
     or ``None`` if the path cannot be continued."""
     if w.alphabet != g.alphabet:
         raise AlphabetMismatchError("word and graph use different alphabets")
+    _check_vertex(g, start)
     v, n = _read(g, start, w.codes)
     return v if n == len(w.codes) else None
 
@@ -490,6 +495,8 @@ def transport(a: XDigraph, av: int, b: XDigraph, bv: int) -> Optional[tuple[int,
     """
     if a.alphabet != b.alphabet:
         raise AlphabetMismatchError("morphisms need graphs over one alphabet")
+    _check_vertex(a, av)
+    _check_vertex(b, bv)
     a_table, b_table = a._step_table(), b._step_table()
     width = a.alphabet.num_codes
     vmap: list[Optional[int]] = [None] * a.vertex_count
@@ -742,13 +749,13 @@ def graph_from_json(text: str) -> BasedGraph:
     """Parse a based graph record, as ``graph_to_json`` writes it.
 
     One pass over the edge records checks each record's shape, integer
-    endpoints and label and whether the edges come sorted, and interns
-    the endpoints, so the graph holds one ``int`` per vertex named in an
-    edge and nothing per declared vertex.  The endpoint range is read
-    off the least and greatest of them; a fault raises the message
-    ``XDigraph(...)`` gives, naming the first bad edge in sorted order.
-    Edges are sorted only when they came out of order, and wrapped
-    without the second check of ``XDigraph(...)``.
+    endpoints and label, and interns the endpoints, so the graph holds
+    one ``int`` per vertex named in an edge and nothing per declared
+    vertex.  The endpoint range is read off the least and greatest of
+    them; a fault raises the message ``XDigraph(...)`` gives, naming the
+    least bad edge, whatever the record order.  The edges are sorted,
+    which on sorted input is one linear pass, and wrapped without the
+    second check of ``XDigraph(...)``.
     """
     try:
         payload = json.loads(text)
@@ -773,8 +780,6 @@ def graph_from_json(text: str) -> BasedGraph:
     alph = Alphabet(raw_alph)
     edges: list[Edge] = []
     ends: dict[int, int] = {}  # one int object per vertex, however often it is named
-    ordered = True
-    lo = lx = lt = -1  # the edge before; (o, x, t) < (lo, lx, lt) is a fault of order
     for rec in raw_edges:
         if not (isinstance(rec, list) and len(rec) == 3):
             raise InvalidInputError(f"malformed edge record: {rec!r}")
@@ -784,15 +789,11 @@ def graph_from_json(text: str) -> BasedGraph:
         x = alph._index.get(sym) if isinstance(sym, str) else None
         if x is None:
             raise InvalidInputError(f"edge label {sym!r} outside alphabet")
-        if o <= lo and (o < lo or x < lx or (x == lx and t < lt)):
-            ordered = False
-        lo, lx, lt = o, x, t
         edges.append((ends.setdefault(o, o), x, ends.setdefault(t, t)))
     if ends and not (min(ends) >= 0 and max(ends) < vertices):
         bad = min(e for e in edges if not (0 <= e[0] < vertices and 0 <= e[2] < vertices))
         raise InvalidInputError(f"edge {bad} has a vertex out of range")
-    if not ordered:
-        edges.sort()
+    edges.sort()  # one linear pass when they come sorted, as graph_to_json writes them
     return BasedGraph(XDigraph._trusted(alph, vertices, tuple(edges)), base)
 
 

@@ -41,6 +41,7 @@ from .graph import (
     BasedGraph,
     Edge,
     XDigraph,
+    _check_vertex,
     _core_numbering,
     _fold,
     _read,
@@ -81,8 +82,7 @@ class SubgroupGraph:
         ``_canonical_core``, which renumbers it, and whose walk also
         shows a graph that is not connected or not a core.
         """
-        if not 0 <= base < graph.vertex_count:
-            raise InvalidInputError(f"base vertex {base} out of range")
+        _check_vertex(graph, base, "base vertex")
         if graph.vertex_count > len(graph.edges) + 1:  # before the table
             raise InvalidInputError("subgroup graph must be connected")
         table = graph._step_table()  # raises if not folded
@@ -412,7 +412,7 @@ def rewrite_in_basis(g: SubgroupGraph, tree: SpanningTree, w: Word) -> tuple[int
     """
     if w.alphabet != g.alphabet:
         raise AlphabetMismatchError("word and subgroup use different alphabets")
-    return _rewrite(g, tree, _basis_order(g, tree), w.codes)
+    return _rewrite(g, _basis_order(g, tree), w.codes)
 
 
 def _basis_order(g: SubgroupGraph, tree: SpanningTree) -> dict[Edge, int]:
@@ -420,11 +420,9 @@ def _basis_order(g: SubgroupGraph, tree: SpanningTree) -> dict[Edge, int]:
     return {e: i + 1 for i, e in enumerate(non_tree_edges(g, tree))}
 
 
-def _rewrite(
-    g: SubgroupGraph, tree: SpanningTree, order: dict[Edge, int], codes: tuple[int, ...]
-) -> tuple[int, ...]:
-    """``rewrite_in_basis`` of the word with these codes, given the
-    index ``order`` of the non-tree edges (``_basis_order``)."""
+def _rewrite(g: SubgroupGraph, order: dict[Edge, int], codes: tuple[int, ...]) -> tuple[int, ...]:
+    """``rewrite_in_basis`` of the word with these codes, given the index
+    ``order`` of the non-tree edges (``_basis_order``); tree edges have none."""
     out: list[int] = []
     table, width = g.graph._step_table(), g.alphabet.num_codes
     v = g.base
@@ -432,9 +430,9 @@ def _rewrite(
         nxt = table[v * width + code]
         if nxt < 0:
             raise NotAMemberError("word does not lie in the subgroup")
-        e = _step_edge(v, code, nxt)
-        if e not in tree.edges:
-            out.append(order[e] if code & 1 == 0 else -order[e])
+        i = order.get(_step_edge(v, code, nxt))
+        if i is not None:
+            out.append(i if code & 1 == 0 else -i)
         v = nxt
     if v != g.base:
         raise NotAMemberError("word does not lie in the subgroup")
@@ -699,13 +697,12 @@ def rebase_inside(m: SubgroupGraph, h: SubgroupGraph) -> SubgroupGraph:
     """
     if canonical_morphism(m.based, h.based) is None:
         raise InvalidInputError("rebase_inside needs M to be a subgroup of H")
-    tree = spanning_tree(h, geodesic=True)
-    order = _basis_order(h, tree)
+    order = _basis_order(h, spanning_tree(h, geodesic=True))
     target = synthetic_alphabet(rank(h))
     gens = []
     for w in basis(m).elements:
         codes = []
-        for i in _rewrite(h, tree, order, w.codes):
+        for i in _rewrite(h, order, w.codes):
             codes.append(2 * (i - 1) if i > 0 else 2 * (-i - 1) + 1)
         gens.append(free_reduce(target, codes))
     return stallings_graph(target, gens)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freegroups.cli import main
+from freegroups.graph import graph_from_json, to_dot
 
 from helpers import cli_parsers
 
@@ -106,6 +107,24 @@ def test_hall_and_join(capsys):
     assert len(record["basis_c"]) == 5
     code, out, _ = run(capsys, "--alphabet", "ab", "join", "--sub", "a", "--sub", "b")
     assert json.loads(out)["vertices"] == 1
+
+
+def test_hall_writes_the_completion_as_dot(capsys, tmp_path):
+    dot = tmp_path / "hall.dot"
+    code, out, _ = run(
+        capsys, "--alphabet", "ab", "hall", "--sub", "bbAA", "--word", "ab", "--json",
+        "--dot", str(dot),
+    )
+    assert code == 0
+    graph = json.loads(out)["graph"]
+    assert dot.read_text() == to_dot(graph_from_json(json.dumps(graph)))
+    assert graph["vertices"] == 5  # the completion, not the input graph
+
+
+def test_graph_json_over_another_alphabet_is_a_usage_error(capsys):
+    record = '{"alphabet": "xy", "vertices": 1, "base": 0, "edges": [[0, "x", 0]]}'
+    code, out, err = run(capsys, "--alphabet", "ab", "member", "--sub", record, "--word", "a")
+    assert (code, out, err) == (2, "", "error: graph file alphabet does not match --alphabet\n")
 
 
 def test_components_json(capsys):

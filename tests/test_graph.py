@@ -20,14 +20,16 @@ from freegroups.graph import (
     graph_to_json,
     is_folded,
     is_regular,
+    isomorphic,
     product,
     regular_complete,
     to_dot,
     trace_path,
+    transport,
     type_graph,
     type_with_anchor,
 )
-from freegroups.subgroup import contains, full_group, stallings_graph
+from freegroups.subgroup import SubgroupGraph, contains, full_group, stallings_graph
 from freegroups.words import Alphabet, Word, parse_word
 
 from helpers import AB, ABC, language_words, naive_fold, rand_gens, rand_subgroup
@@ -64,6 +66,36 @@ def test_xdigraph_rejects_bad_vertex_count_and_edge_entries(vertex_count, edges,
     # graph_from_json's rule: exact ints, so no bool, float or str passes
     with pytest.raises(InvalidInputError, match=re.escape(message)):
         XDigraph(AB, vertex_count, edges)
+
+
+
+_LOOP = XDigraph(AB, 2, [(0, 0, 1), (1, 1, 0)])  # 0 -a-> 1 -b-> 0
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: BasedGraph(_LOOP, 1.5), InvalidInputError, "base vertex 1.5 out of range"),
+        (lambda: BasedGraph(_LOOP, True), InvalidInputError, "base vertex True out of range"),
+        (lambda: BasedGraph(_LOOP, 2), InvalidInputError, "base vertex 2 out of range"),
+        (lambda: SubgroupGraph(_LOOP, 1.5), InvalidInputError, "base vertex 1.5 out of range"),
+        (lambda: SubgroupGraph(_LOOP, -1), InvalidInputError, "base vertex -1 out of range"),
+        (lambda: core(_LOOP, 0.0), InvalidInputError, "vertex 0.0 out of range"),
+        (lambda: core(_LOOP, True), InvalidInputError, "vertex True out of range"),
+        (lambda: trace_path(_LOOP, -2, P("a")), InvalidInputError, "vertex -2 out of range"),
+        (lambda: trace_path(_LOOP, 2, P("a")), InvalidInputError, "vertex 2 out of range"),
+        (lambda: transport(_LOOP, 0, _LOOP, -1), InvalidInputError, "vertex -1 out of range"),
+        (lambda: transport(_LOOP, 3, _LOOP, 0), InvalidInputError, "vertex 3 out of range"),
+        (lambda: _LOOP.step(2, 0), IndexError, "vertex 2 out of range"),  # the low-level step
+    ],
+    ids=["based-float", "based-bool", "based-high", "subgroup-float", "subgroup-negative",
+         "core-float", "core-bool", "trace-negative", "trace-high", "transport-target",
+         "transport-source", "step-high"],
+)
+def test_vertex_arguments_are_exact_ints_in_range(call, error, message):
+    # a bool, a float or a negative index must not reach the step table as a row number
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # -- foldedness -------------------------------------------------------------
@@ -365,6 +397,30 @@ def test_json_roundtrip():
     text = graph_to_json(h.based)
     loaded = graph_from_json(text)
     assert loaded.graph == h.graph and loaded.base == h.base
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: graph_from_json("[]"), "malformed graph record: "),
+        (lambda: graph_from_json("{}"), "malformed graph record: 'alphabet'"),
+        (lambda: transport(XDigraph(AB, 2, []), 0, XDigraph(AB, 1, []), 0),
+         "transport requires a connected source graph"),
+        (lambda: regular_complete(XDigraph(AB, 2, [(0, 0, 0), (0, 0, 1)])),
+         "regular_complete needs a folded graph"),
+    ],
+    ids=["json-list", "json-empty-object", "transport-disconnected", "complete-unfolded"],
+)
+def test_graph_layer_error_paths(call, message):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}"):
+        call()
+
+
+def test_isomorphic_returns_early_on_sizes_and_on_empty_graphs():
+    loop = XDigraph(AB, 1, [(0, 0, 0)])
+    assert not isomorphic(XDigraph(AB, 2, [(0, 0, 1)]), loop)  # vertex counts differ
+    assert not isomorphic(XDigraph(AB, 1, [(0, 0, 0), (0, 1, 0)]), loop)  # edge counts differ
+    assert isomorphic(XDigraph(AB, 0, []), XDigraph(AB, 0, []))
 
 
 def test_json_rejects_garbage():

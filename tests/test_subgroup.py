@@ -1,6 +1,7 @@
 """Subgroup graphs: construction, membership, bases, index, conjugacy."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -532,6 +533,22 @@ def test_rebase_and_relative_index():
     assert rank(inner) == 1
     # infinite relative index: <a> inside F(a,b)
     assert relative_index(a1, full_group(AB)) is None
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: expand_in_basis([], [1]), "cannot expand over an empty basis"),
+        (lambda: coset_representatives(stallings_graph(AB, [P("a")])),
+         "coset representatives exist only at finite index"),
+        (lambda: rebase_inside(stallings_graph(AB, [P("b")]), stallings_graph(AB, [P("a")])),
+         "rebase_inside needs M to be a subgroup of H"),
+    ],
+    ids=["expand-empty-basis", "cosets-infinite-index", "rebase-not-a-subgroup"],
+)
+def test_subgroup_layer_error_paths(call, message):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_subgroup_graph_validation():

@@ -1,5 +1,6 @@
 """Word arithmetic: reduction, products, inverses, cyclic reduction."""
 
+import re
 from random import Random
 
 import pytest
@@ -185,6 +186,20 @@ def test_alphabet_validation():
         Alphabet(["a", "a"])
     with pytest.raises(InvalidInputError):
         Word(AB, (0, 1))  # aa^-1 is not reduced
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Alphabet(["a", ""]), "alphabet symbols must be nonempty strings"),
+        (lambda: free_reduce(AB, [0, 4]), "letter code 4 outside alphabet"),
+        (lambda: free_reduce(AB, [-1]), "letter code -1 outside alphabet"),
+    ],
+    ids=["empty-symbol", "code-above", "code-negative"],
+)
+def test_word_layer_error_paths(call, message):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_empty_alphabet_allowed():
