@@ -154,10 +154,17 @@ class XDigraph:
         )
 
     def step(self, v: int, code: int) -> Optional[int]:
+        """The vertex reached from ``v`` along the signed ``code``, or None
+        if no half-edge there carries it; needs a folded graph.
+
+        ``v`` must be an exact int vertex and ``code`` an exact int in
+        ``0 .. 2r - 1``; anything else raises ``IndexError``."""
         table, width = self._step_table(), self.alphabet.num_codes
-        if not 0 <= v < self.vertex_count:
+        if type(v) is not int or not 0 <= v < self.vertex_count:
             raise IndexError(f"vertex {v} out of range")
-        w = table[v * width + code] if 0 <= code < width else -1
+        if type(code) is not int or not 0 <= code < width:
+            raise IndexError(f"code {code} out of range")
+        w = table[v * width + code]
         return None if w < 0 else w
 
     def is_connected(self) -> bool:

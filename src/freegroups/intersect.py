@@ -4,9 +4,21 @@ The product of two subgroup graphs recognizes the intersection at the
 base pair; the remaining components describe intersections of
 conjugates, one double coset per component.  Neither is built from
 the product graph: the intersection walks only the base component,
-over the step tables of both graphs, and the other questions walk every
-component the same way, one at a time, reading pair ids and edge
-counts.  This yields intersection computation, malnormality and
+over the step tables of both graphs, and the reports for two different
+graphs walk every component the same way, one at a time, reading pair
+ids and edge counts.
+
+A self-product H x H is walked over half of its pairs.  In a folded
+graph no pair (v, u) with v != u steps onto the diagonal, so the base
+component is the diagonal, a copy of the graph of H.  Swapping the two
+coordinates is a free involution on every other component C, which
+maps onto a component C' of the graph on unordered pairs {v, u},
+v != u: isomorphically when swap(C) != C, which is then a second
+component of the same rank, and as a connected double cover when
+swap(C) = C, where rk C = 2 rk C' - 1.  Either way rk C <= t iff
+rk C' <= t for t = 0 and 1, so the malnormal and cyclonormal tests and
+the self-product reports walk only the pairs v < u, once per swap
+class C'.  This yields intersection computation, malnormality and
 cyclonormality tests, the immersion criterion, and the rank inequality
 probe for intersections.
 """
@@ -14,6 +26,7 @@ probe for intersections.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import AlphabetMismatchError, InvalidInputError
@@ -100,13 +113,17 @@ class ComponentReport:
         contains_base_pair: bool, representative_vertex: tuple[int, int], rank: int,
         double_coset_witness: Optional[Word],
     ) -> "ComponentReport":
-        """A report whose ``component`` is ``build(pairs)``, built on first read."""
+        """A report whose ``component`` is ``build(pairs)``, built on first read.
+
+        Reports are made by the thousand, so the fields are written one
+        by one into the instance dict, the cheapest way to fill it."""
         report = object.__new__(cls)
-        report.__dict__.update(
-            _pending=(build, pairs), contains_base_pair=contains_base_pair,
-            representative_vertex=representative_vertex, rank=rank,
-            double_coset_witness=double_coset_witness,
-        )
+        fields = report.__dict__
+        fields["_pending"] = build, pairs
+        fields["contains_base_pair"] = contains_base_pair
+        fields["representative_vertex"] = representative_vertex
+        fields["rank"] = rank
+        fields["double_coset_witness"] = double_coset_witness
         return report
 
     @property
@@ -135,8 +152,9 @@ class ComponentReport:
 def _product_components(
     a: XDigraph, b: XDigraph, base_pair: tuple[int, int]
 ) -> Iterator[tuple[list[int], int, bool]]:
-    """Components of the product of two folded graphs, walked over their
-    step tables without building the product.
+    """Components of the product of two different folded graphs, walked
+    over their step tables without building the product; a self-product
+    is walked by ``_self_product_classes``.
 
     The pair ``(v, u)`` has id ``v * #V_b + u``, so id order is the
     lexicographic order of pairs, which is the vertex order of
@@ -149,7 +167,7 @@ def _product_components(
     pair, so the stream follows the order of least product vertex.
     """
     a_stars, a_masks = _stars(a)
-    b_masks = a_masks if b is a else _star_masks(b)
+    b_masks = _star_masks(b)
     b_table, width, nb = b._step_table(), b.alphabet.num_codes, b.vertex_count
     base_id = base_pair[0] * nb + base_pair[1]
     seen = bytearray(a.vertex_count * nb)
@@ -184,6 +202,52 @@ def _product_components(
             yield comp, half_edges >> 1, has_base
 
 
+def _self_product_classes(g: XDigraph) -> Iterator[tuple[list[int], int, bool]]:
+    """The swap classes of the self-product of a folded graph away from
+    the diagonal, each walked once, without building the product.
+
+    Pair ids are ``v * #V + u`` as in ``_product_components``.  Only
+    the pairs with ``v < u`` are visited, in id order; one already seen,
+    or whose stars share no signed letter, starts no walk.  A walk
+    follows one lift C of the class C' of unordered pairs and records
+    each pair in C's orientation, marking its swap as taken; a step
+    onto a taken swap shows swap(C) = C.  No off-diagonal pair steps
+    onto the diagonal, which is the base component.  Each class is
+    yielded as the pair ids of C (its least pair, which is the least
+    pair of C and swap(C), first, then in walk order), the edge count
+    of C' and whether C is a double cover of C' (swap(C) = C).  The
+    rank of C is that of C' when it is not, and 2 rk C' - 1 when it is.
+    """
+    stars, masks = _stars(g)
+    table, width, n = g._step_table(), g.alphabet.num_codes, g.vertex_count
+    seen = bytearray(n * n)  # 1: a pair of the lift walked, 2: the swap of one
+    for v in range(n - 1):
+        v_mask, row = masks[v], v * n
+        for u in range(v + 1, n):
+            p = row + u
+            if seen[p] or not v_mask & masks[u]:
+                continue
+            seen[p], seen[u * n + v] = 1, 2
+            comp = [p]
+            half_edges = 0  # each edge of C' is met once from each end
+            double = False
+            for q in comp:
+                x, y = divmod(q, n)
+                at = y * width
+                for code, x2 in stars[x]:
+                    y2 = table[at + code]
+                    if y2 >= 0:
+                        half_edges += 1
+                        r = x2 * n + y2
+                        mark = seen[r]
+                        if not mark:
+                            seen[r], seen[y2 * n + x2] = 1, 2
+                            comp.append(r)
+                        elif mark == 2:
+                            double = True
+            yield comp, half_edges >> 1, double
+
+
 def _witness(
     h: SubgroupGraph, k: SubgroupGraph, tree_h: SpanningTree, tree_k: SpanningTree,
     v: int, u: int,
@@ -198,17 +262,25 @@ def _witness(
 
 
 def component_analysis(h: SubgroupGraph, k: SubgroupGraph) -> list[ComponentReport]:
-    """Reports for every component of the product of the two graphs.
-
-    The components are walked over the step tables of both graphs, in
+    """Reports for every component of the product of the two graphs, in
     order of least product vertex, without building the product.
+
+    For two different graphs every component is walked over the step
+    tables of both (``_product_components``).  For a self-product
+    (``k == h``) the base component is the diagonal, a copy of the graph
+    of H of rank rk H, and each swap class C' is walked once
+    (``_self_product_classes``).  The class gives a report for its lift
+    C and one for swap(C), both of rank rk C', or, when C is a double
+    cover of C', one report holding both orientations, of rank
+    2 rk C' - 1; the reports are then sorted once by least pair.
     Each report keeps its component's pair ids; the component's graph
     is renumbered along the sorted ids and built only when the report's
     ``component`` is first read, from the step tables that all reports
     of the call share.  Witnesses are ``g = tau * sigma^-1`` built from
-    geodesic tree paths to the representative pair (one tree when
-    ``k is h``), kept short on purpose, and each is verified by
-    intersecting the conjugate before it is reported.
+    geodesic tree paths to the representative pair (one tree for a
+    self-product, built when the first witness is), kept short on
+    purpose, and each is verified by intersecting the conjugate before
+    it is reported.
     """
     if h.alphabet != k.alphabet:
         raise AlphabetMismatchError("subgroups use different alphabets")
@@ -218,7 +290,11 @@ def component_analysis(h: SubgroupGraph, k: SubgroupGraph) -> list[ComponentRepo
     # whose conjugate meets K nontrivially always lights up such a
     # component, so no separate free-product criterion is exposed.
     k_table, width, nk = k.graph._step_table(), k.alphabet.num_codes, k.vertex_count
+    self_product = k == h
     h_out: Optional[list[list[tuple[int, int]]]] = None
+    trees: Optional[tuple[SpanningTree, SpanningTree]] = None
+    lazy = ComponentReport._lazy
+    reports: list[tuple[int, ComponentReport]] = []  # keyed by least pair id
 
     def component(pairs: list[int]) -> XDigraph:
         """The component's graph, renumbered along its sorted pair ids."""
@@ -238,34 +314,52 @@ def component_analysis(h: SubgroupGraph, k: SubgroupGraph) -> list[ComponentRepo
                     edges.append((i, code >> 1, renum[x2 * nk + y2]))
         return XDigraph._trusted(h.alphabet, len(pairs), tuple(edges))
 
-    trees: Optional[tuple[SpanningTree, SpanningTree]] = None
-    reports = []
-    for pairs, edge_count, has_base in _product_components(
-        h.graph, k.graph, (h.base, k.base)
-    ):
-        comp_rank = edge_count - len(pairs) + 1
-        v, u = divmod(pairs[0], nk)
+    def emit(pairs: list[int], least: int, has_base: bool, comp_rank: int) -> None:
+        """Report the component of ``pairs``, whose least pair id is ``least``."""
+        nonlocal trees
+        v, u = divmod(least, nk)
         witness = None
         if not has_base and comp_rank > 0:
             if trees is None:
                 tree_h = spanning_tree(h, geodesic=True)
-                trees = tree_h, tree_h if k is h else spanning_tree(k, geodesic=True)
+                trees = tree_h, tree_h if self_product else spanning_tree(k, geodesic=True)
             witness = _witness(h, k, *trees, v, u)
-        reports.append(ComponentReport._lazy(component, pairs, has_base, (v, u), comp_rank, witness))
-    return reports
+        reports.append((least, lazy(component, pairs, has_base, (v, u), comp_rank, witness)))
+
+    if self_product:
+        emit(list(range(0, nk * nk, nk + 1)), 0, True, h.edge_count - nk + 1)
+        for pairs, edge_count, double in _self_product_classes(h.graph):
+            class_rank = edge_count - len(pairs) + 1
+            twin = [p % nk * nk + p // nk for p in pairs]  # swap(C)
+            if double:
+                emit(pairs + twin, pairs[0], False, 2 * class_rank - 1)
+            else:
+                emit(pairs, pairs[0], False, class_rank)
+                emit(twin, min(twin), False, class_rank)
+        reports.sort(key=itemgetter(0))
+    else:
+        for pairs, edge_count, has_base in _product_components(
+            h.graph, k.graph, (h.base, k.base)
+        ):
+            emit(pairs, pairs[0], has_base, edge_count - len(pairs) + 1)
+    return [report for _, report in reports]
 
 
 def is_malnormal(h: SubgroupGraph) -> tuple[bool, Optional[Word]]:
     """Tree criterion: malnormal iff every component of the self-product
     away from the base pair is a tree (rank 0).
 
-    The components are walked and the test stops at the first one of
-    positive rank away from the base pair, reading only its size.  Only
+    The swap classes are walked over the pairs v < u only
+    (``_self_product_classes``), and the test stops at the first class
+    C' of positive rank, reading only its size: a component C over C'
+    has rank rk C' or 2 rk C' - 1, so it is a tree iff C' is.  The
+    class starts at the least pair of any component of positive rank,
+    so the witness is the one the walk over all pairs would give.  Only
     the witness returned is built and verified: a g with g not in H and
     ``g H g^-1 n H`` nontrivial.
     """
-    for pairs, edge_count, has_base in _product_components(h.graph, h.graph, (h.base, h.base)):
-        if not has_base and edge_count - len(pairs) + 1 > 0:
+    for pairs, edge_count, _ in _self_product_classes(h.graph):
+        if edge_count - len(pairs) + 1 > 0:
             tree = spanning_tree(h, geodesic=True)
             g = _witness(h, h, tree, tree, *divmod(pairs[0], h.vertex_count))
             if contains(h, g):
@@ -278,15 +372,14 @@ def is_cyclonormal(h: SubgroupGraph) -> bool:
     """True iff every non-base component of the self-product has rank <= 1,
     i.e. all conjugate intersections over nontrivial double cosets are cyclic.
 
-    Reads only ``#E - #V + 1`` of each walked component, builds no
-    witness, and stops at the first component of rank >= 2 away from
-    the base pair.
+    Walks each swap class C' once, over the pairs v < u only
+    (``_self_product_classes``), reads only its ``#E - #V + 1``, builds
+    no witness, and stops at the first class of rank >= 2: a component
+    C over C' has rank rk C' or 2 rk C' - 1, which is <= 1 iff rk C' is.
     """
     return all(
-        has_base or edge_count - len(pairs) + 1 <= 1
-        for pairs, edge_count, has_base in _product_components(
-            h.graph, h.graph, (h.base, h.base)
-        )
+        edge_count - len(pairs) + 1 <= 1
+        for pairs, edge_count, _ in _self_product_classes(h.graph)
     )
 
 

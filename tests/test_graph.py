@@ -87,10 +87,16 @@ _LOOP = XDigraph(AB, 2, [(0, 0, 1), (1, 1, 0)])  # 0 -a-> 1 -b-> 0
         (lambda: transport(_LOOP, 0, _LOOP, -1), InvalidInputError, "vertex -1 out of range"),
         (lambda: transport(_LOOP, 3, _LOOP, 0), InvalidInputError, "vertex 3 out of range"),
         (lambda: _LOOP.step(2, 0), IndexError, "vertex 2 out of range"),  # the low-level step
+        (lambda: _LOOP.step(True, 1), IndexError, "vertex True out of range"),
+        (lambda: _LOOP.step(1.5, 0), IndexError, "vertex 1.5 out of range"),
+        (lambda: _LOOP.step(0, 99), IndexError, "code 99 out of range"),
+        (lambda: _LOOP.step(0, -1), IndexError, "code -1 out of range"),
+        (lambda: _LOOP.step(0, True), IndexError, "code True out of range"),
     ],
     ids=["based-float", "based-bool", "based-high", "subgroup-float", "subgroup-negative",
          "core-float", "core-bool", "trace-negative", "trace-high", "transport-target",
-         "transport-source", "step-high"],
+         "transport-source", "step-high", "step-bool", "step-float", "step-code-high",
+         "step-code-negative", "step-code-bool"],
 )
 def test_vertex_arguments_are_exact_ints_in_range(call, error, message):
     # a bool, a float or a negative index must not reach the step table as a row number

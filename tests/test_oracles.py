@@ -6,8 +6,10 @@ half-edge at a time hold, and reject an unfolded graph with the same
 message.  The base-component intersection, the component walk behind the reports
 and the malnormal and cyclonormal tests, and the fused fold -> core ->
 canonical builds must give exactly what the full product graph and the
-unfused builds give; a component report is the same value whether or
-not its graph has been built.  The one-pass graph-JSON load must give
+unfused builds give; the swap classes of a self-product, each lifted
+to its component and that component's swap, must give the components
+of the walk over all ordered pairs; a component report is the same
+value whether or not its graph has been built.  The one-pass graph-JSON load must give
 what the load in separate passes gives, errors included.  The
 star-split sizes of Whitehead moves must match the built images and
 the move-by-move count, edge substitution must build what folding the
@@ -49,13 +51,21 @@ from freegroups.graph import (
     type_graph,
     type_with_anchor,
 )
-from freegroups.intersect import component_analysis, intersection, is_cyclonormal, is_malnormal
+from freegroups.intersect import (
+    _product_components,
+    _self_product_classes,
+    component_analysis,
+    intersection,
+    is_cyclonormal,
+    is_malnormal,
+)
 from freegroups.subgroup import (
     SubgroupGraph,
     _is_canonical,
     basis,
     conjugate,
     join,
+    spanning_tree,
     stallings_graph,
     trivial_subgroup,
 )
@@ -183,6 +193,100 @@ def test_malnormal_and_cyclonormal_match_full_product(h):
     assert is_cyclonormal(h) == all(r.contains_base_pair or r.rank <= 1 for r in reports)
 
 
+
+
+def _square(alphabet, seed: int) -> SubgroupGraph:
+    """<w^2> for a random nontrivial w: a self-product with a double cover."""
+    w = rand_word(Random(seed), alphabet, 6, nontrivial=True)
+    return stallings_graph(alphabet, [multiply(w, w)])
+
+
+def _rose(alphabet, letters: int) -> SubgroupGraph:
+    """One vertex with a loop on each of the first ``letters`` letters (all, if fewer)."""
+    return stallings_graph(
+        alphabet, [Word(alphabet, (2 * x,)) for x in range(min(letters, alphabet.size))]
+    )
+
+
+def _self_product_subgroups():
+    """Random F2/F3 subgroups, the trivial subgroup, roses and <w^2>."""
+    alphabets = st.sampled_from([AB, ABC])
+    return st.one_of(
+        _subgroups(max_vertices=14),
+        alphabets.map(trivial_subgroup),
+        st.tuples(alphabets, st.integers(1, 3)).map(lambda a: _rose(*a)),
+        st.tuples(alphabets, st.integers(0, 2**32)).map(lambda a: _square(*a)),
+    )
+
+
+def _check_swap_classes(h: SubgroupGraph) -> int:
+    """Check the swap classes of H x H against the walk over all ordered
+    pairs, and return how many of them are double covers.
+
+    Each class lifted to C and swap(C), or to the one component C when
+    it is a double cover, must give exactly the components of the
+    ordered walk off the base pair: the same pair sets, edge counts and
+    ranks.  The base component must be the diagonal.  Each class must
+    start at the least pair of C and swap(C), a pair (v, u) with v < u."""
+    n = h.vertex_count
+    ordered = list(_product_components(h.graph, h.graph, (h.base, h.base)))
+    [(diagonal, diagonal_edges)] = [(sorted(p), e) for p, e, has_base in ordered if has_base]
+    assert (diagonal, diagonal_edges) == (list(range(0, n * n, n + 1)), h.edge_count)
+    expected = sorted(
+        (sorted(p), e, e - len(p) + 1) for p, e, has_base in ordered if not has_base
+    )
+    lifted, doubles = [], 0
+    for pairs, edge_count, double in _self_product_classes(h.graph):
+        twin = [p % n * n + p // n for p in pairs]
+        v, u = divmod(pairs[0], n)
+        assert v < u and pairs[0] == min(pairs + twin)
+        assert len(set(pairs + twin)) == 2 * len(pairs)  # one orientation of each pair
+        class_rank = edge_count - len(pairs) + 1
+        if double:
+            doubles += 1
+            lifted.append((sorted(pairs + twin), 2 * edge_count, 2 * class_rank - 1))
+        else:
+            lifted += [(sorted(c), edge_count, class_rank) for c in (pairs, twin)]
+    assert sorted(lifted) == expected
+    return doubles
+
+
+@settings(max_examples=80, deadline=None)
+@given(_self_product_subgroups())
+def test_swap_classes_lift_to_the_ordered_self_product(h):
+    _check_swap_classes(h)
+    copy_of_h = SubgroupGraph(XDigraph(h.alphabet, h.vertex_count, h.graph.edges), 0)
+    assert copy_of_h is not h and copy_of_h == h
+    oracle = component_analysis_by_full_product(h, h)
+    assert component_analysis(h, h) == component_analysis(h, copy_of_h) == oracle
+    # the ordered walk decides both tests, with the witness at the least bad pair
+    bad = [
+        p[0] for p, e, has_base in _product_components(h.graph, h.graph, (h.base, h.base))
+        if not has_base and e - len(p) + 1 > 0
+    ]
+    if bad:
+        tree = spanning_tree(h, geodesic=True)
+        v, u = divmod(bad[0], h.vertex_count)
+        expected = (False, multiply(tree.path_word(u), invert(tree.path_word(v))))
+    else:
+        expected = (True, None)
+    assert is_malnormal(h) == expected
+    assert is_cyclonormal(h) == all(
+        has_base or e - len(p) + 1 <= 1
+        for p, e, has_base in _product_components(h.graph, h.graph, (h.base, h.base))
+    )
+
+
+def test_swap_classes_include_double_covers():
+    # <w^2> always has one; random subgroups have some, and classes
+    # whose swap is a second component, so both lifts are checked
+    rng = Random(13)
+    cases = [_square(AB, 1), _square(ABC, 2), _rose(AB, 2), trivial_subgroup(ABC)]
+    cases += [_subgroup(rng, alphabet, 14) for alphabet in (AB, ABC) for _ in range(20)]
+    doubles = [_check_swap_classes(h) for h in cases]
+    assert doubles[0] >= 1 and doubles[1] >= 1
+    assert sum(d > 0 for d in doubles[4:]) >= 1
+    assert any(not double for h in cases for *_, double in _self_product_classes(h.graph))
 
 def test_component_analysis_on_factors_of_different_sizes():
     # pair ids are v * #V_K + u: unequal vertex counts, in both orders
