@@ -29,7 +29,7 @@ from . import extensions as ext
 from . import intersect as meet
 from . import subgroup as sub
 from .errors import FreeGroupsError, InvalidInputError, ResourceLimitError
-from .graph import BasedGraph, _graph_record, graph_from_json, graph_to_json, to_dot
+from .graph import BasedGraph, _graph_record, _load_graph, graph_to_json, to_dot
 from .subgroup import SubgroupGraph
 from .whitehead import DEFAULT_PLATEAU_BUDGET, is_free_factor, is_free_factor_of_ambient
 from .words import Alphabet, Word, format_word, parse_word
@@ -55,9 +55,14 @@ def _load_subgroup(spec: str, alphabet: Alphabet) -> SubgroupGraph:
 
 
 def _subgroup_from_json(text: str, alphabet: Alphabet) -> SubgroupGraph:
-    based = graph_from_json(text)
+    """Load graph JSON; the load's one record pass recognises canonical
+    JSON, such as ``fg graph`` writes, which is wrapped as it is, and
+    ``SubgroupGraph(...)`` checks and renumbers any other graph."""
+    based, canonical = _load_graph(text)
     if based.graph.alphabet != alphabet:
         raise InvalidInputError("graph file alphabet does not match --alphabet")
+    if canonical:
+        return SubgroupGraph._from_canonical(based.graph)
     return SubgroupGraph(based.graph, based.base)  # validates folded/core/connected
 
 

@@ -18,6 +18,11 @@ F2 and 48 in F3, against about 233 for a ``dict`` of step maps (both
 measured on 80,000-vertex graphs), but 416 over 26 letters and 8,000
 over the 500 letters of a rank-500 ``rebase_inside`` alphabet.
 
+A graph may hold its table alone: ``graph_from_json`` reads a stored
+graph straight into one, and ``fold_all`` folds into one.  Its sorted
+edge tuple is then a view, derived from the table on first read
+(``_table_edges``) and kept; edge counts read the table.
+
 This module supplies the graph-level machinery: folding, cores,
 path tracing, morphisms and based isomorphism, type graphs, product
 graphs, connected components, and completion to an X-regular graph.
@@ -29,7 +34,7 @@ import json
 import operator
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from random import Random
 from typing import Iterable, Iterator, NamedTuple, NoReturn, Optional
 
@@ -46,9 +51,13 @@ class XDigraph:
     they have the same alphabet, vertex count and edge multiset.  The
     vertex count, endpoints and labels must be exact ints (no bools or
     floats) in range; anything else raises ``InvalidInputError``.
+
+    ``edges`` is read-only.  A graph built from its step table alone
+    (``_trusted`` with ``edges=None``) derives the tuple on first read
+    and keeps it; its ``edge_count`` reads the table.
     """
 
-    __slots__ = ("alphabet", "vertex_count", "edges", "_steps")
+    __slots__ = ("alphabet", "vertex_count", "_edges", "_steps")
 
     def __init__(self, alphabet: Alphabet, vertex_count: int, edges: Iterable[Edge]):
         # bool is a subclass of int, so the exact type is tested, as in graph_from_json
@@ -68,27 +77,36 @@ class XDigraph:
             raise InvalidInputError("edges must be (origin, letter, terminus) triples") from None
         self.alphabet = alphabet
         self.vertex_count = vertex_count
-        self.edges = edges
+        self._edges: Optional[tuple[Edge, ...]] = edges
         self._steps: Optional[list[int]] = None
 
     @classmethod
     def _trusted(
-        cls, alphabet: Alphabet, vertex_count: int, edges: tuple[Edge, ...],
+        cls, alphabet: Alphabet, vertex_count: int, edges: Optional[tuple[Edge, ...]],
         steps: Optional[list[int]] = None,
     ) -> "XDigraph":
         """Wrap edges already sorted, in range and over the alphabet, without
-        the checks of ``__init__``; ``steps``, if given, is their step table."""
+        the checks of ``__init__``; ``steps``, if given, is their step table.
+        ``edges`` may be None when ``steps`` is given: the graph is then
+        its table, and its edges are derived when first read."""
         g = object.__new__(cls)
         g.alphabet = alphabet
         g.vertex_count = vertex_count
-        g.edges = edges
+        g._edges = edges
         g._steps = steps
         return g
 
     # -- basic structure -------------------------------------------------
 
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The positive edges, sorted."""
+        if self._edges is None:
+            self._edges = _table_edges(self._steps, self.alphabet.num_codes, self.vertex_count)
+        return self._edges
+
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, XDigraph)
             and self.alphabet == other.alphabet
             and self.vertex_count == other.vertex_count
@@ -103,7 +121,9 @@ class XDigraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        if self._edges is None:  # each edge takes two slots of the table
+            return (len(self._steps) - self._steps.count(-1)) >> 1
+        return len(self._edges)
 
     def degrees(self) -> list[int]:
         """Degree of each vertex in the symmetrized graph; a loop counts twice."""
@@ -245,6 +265,17 @@ def _rows(table: list[int], width: int, vertex_count: int) -> Iterator[tuple[int
     return zip(*[iter(table)] * width) if width else repeat((), vertex_count)
 
 
+def _table_edges(table: list[int], width: int, vertex_count: int) -> tuple[Edge, ...]:
+    """The positive edges of a step table, sorted: the rows in vertex
+    order, each read in code order, so no sort runs."""
+    return tuple(
+        (v, x, far)
+        for v, row in enumerate(_rows(table, width, vertex_count))
+        for x, far in enumerate(row[::2])
+        if far >= 0
+    )
+
+
 def _find(parent: list[int], v: int) -> int:
     """Root of ``v`` in the union-find forest ``parent``; compresses the path."""
     root = v
@@ -349,20 +380,14 @@ def _fold(
 
 def fold_all(g: XDigraph, rng: Optional[Random] = None) -> FoldResult:
     """Perform elementary foldings until the graph is folded (``_fold``);
-    blocks are numbered by least vertex.  ``rng`` shuffles the fold order."""
+    blocks are numbered by least vertex.  ``rng`` shuffles the fold order.
+    The folded graph holds the step table of the fold, and its edges are
+    derived from it when first read."""
     edges = list(g.edges)
     if rng is not None:
         rng.shuffle(edges)
-    width = g.alphabet.num_codes
-    table, count, block = _fold(g.vertex_count, edges, width)
-    # rows in vertex order, each in code order: the edges come sorted
-    new_edges = tuple(
-        (v, x, far)
-        for v, row in enumerate(_rows(table, width, count))
-        for x, far in enumerate(row[::2])
-        if far >= 0
-    )
-    return FoldResult(XDigraph._trusted(g.alphabet, count, new_edges, table), tuple(block))
+    table, count, block = _fold(g.vertex_count, edges, g.alphabet.num_codes)
+    return FoldResult(XDigraph._trusted(g.alphabet, count, None, table), tuple(block))
 
 
 def _star_masks(g: XDigraph) -> list[int]:
@@ -546,7 +571,7 @@ def based_isomorphism(a: BasedGraph, b: BasedGraph) -> Optional[Morphism]:
     """
     if a.graph.vertex_count != b.graph.vertex_count:
         return None
-    if len(a.graph.edges) != len(b.graph.edges):
+    if a.graph.edge_count != b.graph.edge_count:
         return None
     vmap = transport(a.graph, a.base, b.graph, b.base)
     if vmap is None or len(set(vmap)) != b.graph.vertex_count:
@@ -557,7 +582,7 @@ def based_isomorphism(a: BasedGraph, b: BasedGraph) -> Optional[Morphism]:
 def isomorphic(a: XDigraph, b: XDigraph) -> bool:
     """Unbased isomorphism of folded connected graphs: some vertex of ``b``
     serves as the image of vertex 0 of ``a``."""
-    if a.vertex_count != b.vertex_count or len(a.edges) != len(b.edges):
+    if a.vertex_count != b.vertex_count or a.edge_count != b.edge_count:
         return False
     if a.vertex_count == 0:
         return True
@@ -588,7 +613,7 @@ def _stem(g: BasedGraph) -> tuple[int, list[int]]:
     table, width = graph._step_table(), graph.alphabet.num_codes
     v, codes = g.base, []
     row = table[v * width:v * width + width]
-    if not graph.edges or width - row.count(-1) >= 2:
+    if not graph.edge_count or width - row.count(-1) >= 2:
         return v, codes
     while True:
         if row.count(-1) != width - 1:
@@ -729,7 +754,7 @@ def regular_complete(g: XDigraph) -> XDigraph:
 
 def is_regular(g: XDigraph) -> bool:
     """True iff every vertex has exactly one edge per signed letter."""
-    return is_folded(g) and len(g.edges) == g.alphabet.size * g.vertex_count
+    return is_folded(g) and g.edge_count == g.alphabet.size * g.vertex_count
 
 
 # ---------------------------------------------------------------------------
@@ -755,15 +780,26 @@ def graph_to_json(g: BasedGraph) -> str:
 def graph_from_json(text: str) -> BasedGraph:
     """Parse a based graph record, as ``graph_to_json`` writes it.
 
-    One pass over the edge records checks each record's shape, integer
-    endpoints and label, and interns the endpoints, so the graph holds
-    one ``int`` per vertex named in an edge and nothing per declared
-    vertex.  The endpoint range is read off the least and greatest of
-    them; a fault raises the message ``XDigraph(...)`` gives, naming the
-    least bad edge, whatever the record order.  The edges are sorted,
-    which on sorted input is one linear pass, and wrapped without the
-    second check of ``XDigraph(...)``.
+    One pass over the edge records (``_records_table``) checks each
+    record and writes its two half-edges into a step table, which the
+    graph then holds alone; its edges are derived when first read.
+    Records that fail a check, or a half-edge whose slot is taken (a
+    graph that is not folded), go down the edge path
+    (``_records_edges``) instead, as do records of more vertices than a
+    connected graph can have (``#V > #E + 1``), for which no table is
+    allocated.  That path raises the message of the first faulty record,
+    or for a range fault the ``XDigraph(...)`` message naming the least
+    bad edge, whatever the record order.  A graph it accepts comes back
+    with its sorted edges and no table; if that graph is not folded,
+    ``SubgroupGraph(...)`` raises at its first clash in edge order.
     """
+    return _load_graph(text)[0]
+
+
+def _load_graph(text: str) -> tuple[BasedGraph, bool]:
+    """``graph_from_json``, and whether the graph is canonical: folded,
+    connected, a core at its base 0 and numbered as ``_core_numbering``
+    numbers it, as ``subgroup._is_canonical`` would find it."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -785,6 +821,79 @@ def graph_from_json(text: str) -> BasedGraph:
     elif not (isinstance(raw_alph, list) and all(isinstance(s, str) for s in raw_alph)):
         raise InvalidInputError("graph record needs an 'alphabet' string or list of strings")
     alph = Alphabet(raw_alph)
+    loaded = None
+    if vertices <= len(raw_edges) + 1:  # else not connected: allocate nothing per vertex
+        loaded = _records_table(raw_edges, alph, vertices)
+    if loaded is None:
+        edges = _records_edges(raw_edges, alph, vertices)
+        return BasedGraph(XDigraph._trusted(alph, vertices, edges), base), False
+    table, canonical = loaded
+    graph = XDigraph._trusted(alph, vertices, None, table)
+    return BasedGraph(graph, base), canonical and base == 0
+
+
+def _records_table(
+    raw_edges: list, alph: Alphabet, vertices: int
+) -> Optional[tuple[list[int], bool]]:
+    """The step table of these edge records, written in one pass, and
+    whether it is in canonical numbering; None when a record is not a
+    list of two exact int endpoints in range around a label of ``alph``,
+    or a half-edge's slot is taken.
+
+    The endpoints written are taken from one ``list(range(vertices))``,
+    so the table holds one ``int`` object per vertex.  The pass notes
+    the least slot naming each vertex, and the table is canonical
+    exactly when these first slots increase over the vertices 1, 2, ...,
+    each lies in a row before its vertex, and each of these vertices has
+    two half-edges or more: then the breadth-first walk from 0 in code
+    order meets the vertices in the order 0, 1, 2, ..., and no vertex
+    but 0 is cut from the core.
+    """
+    width = alph.num_codes
+    codes = {s: x + x for s, x in alph._index.items()}
+    table = [-1] * (vertices * width)
+    ints = list(range(vertices))
+    first = [len(table)] * vertices
+    try:
+        for rec in raw_edges:
+            if type(rec) is not list:
+                return None
+            o, sym, t = rec
+            if type(o) is not int or type(t) is not int or (o | t) < 0:
+                return None
+            code = codes.get(sym)
+            if code is None:
+                return None
+            o = ints[o]
+            t = ints[t]
+            i = o * width + code
+            j = t * width + code + 1
+            if table[i] >= 0 or table[j] >= 0:
+                return None
+            table[i] = t
+            table[j] = o
+            if i < first[t]:
+                first[t] = i
+            if j < first[o]:
+                first[o] = j
+    except (IndexError, TypeError, ValueError):  # out of range, unhashable label, no triple
+        return None
+    if vertices <= 1:
+        return table, vertices == 1
+    later = first[1:]
+    canonical = (
+        all(map(operator.lt, later, later[1:]))
+        and all(map(operator.lt, later, range(width, len(table), width)))
+        and max(map(tuple.count, islice(_rows(table, width, vertices), 1, None), repeat(-1)))
+        <= width - 2
+    )
+    return table, canonical
+
+
+def _records_edges(raw_edges: list, alph: Alphabet, vertices: int) -> tuple[Edge, ...]:
+    """The sorted edges of these edge records, after checking each
+    record's shape, integer endpoints and label in record order, then
+    the endpoint range, naming the least bad edge."""
     edges: list[Edge] = []
     ends: dict[int, int] = {}  # one int object per vertex, however often it is named
     for rec in raw_edges:
@@ -801,7 +910,7 @@ def graph_from_json(text: str) -> BasedGraph:
         bad = min(e for e in edges if not (0 <= e[0] < vertices and 0 <= e[2] < vertices))
         raise InvalidInputError(f"edge {bad} has a vertex out of range")
     edges.sort()  # one linear pass when they come sorted, as graph_to_json writes them
-    return BasedGraph(XDigraph._trusted(alph, vertices, tuple(edges)), base)
+    return tuple(edges)
 
 
 def to_dot(g: BasedGraph, name: str = "subgroup") -> str:

@@ -12,8 +12,13 @@ code leads to or ``-1``.  One walk over a step table,
 in order and writes its table, which the canonical graph keeps.  The
 constructor runs it after validating its input, unless one cheaper
 walk (``_is_canonical``) finds the input numbered already, in which
-case the input's edge tuple and checked table are kept; the
-constructions here run it on tables checked once, and skip the checks.
+case the input's checked table, and its edge tuple if it has one, are
+kept; the constructions here run it on tables checked once, and skip
+the checks.  ``fg`` skips that walk too: the record pass that loads
+graph JSON into its table recognises canonical numbering on the way
+(``graph._load_graph``).  Counting edges (``rank``, ``edge_count``,
+``is_trivial``) and ``non_tree_edges`` read the table, so a loaded
+graph's edge tuple is derived only by what needs it.
 Constructions that fold (generators, joins) share one path,
 ``_fold_core``: ``graph._fold`` folds the edge list into a table and
 checks it once, and the walk reads it where it lies.  A conjugating
@@ -29,6 +34,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
+from operator import xor
 from random import Random
 from typing import AbstractSet, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -64,7 +71,9 @@ class SubgroupGraph:
     Two instances compare equal iff they are based-isomorphic, i.e. iff
     they describe the same subgroup.  The constructor checks the graph
     and numbers it with ``_canonical_core``; input already in canonical
-    numbering is kept, with its edge tuple and the step table of the check.
+    numbering is kept, with the step table of the check and its edge
+    tuple, if it has one: a graph loaded by ``graph_from_json`` holds its
+    table alone, and derives its edges when they are first read.
     """
 
     __slots__ = ("graph",)
@@ -77,19 +86,21 @@ class SubgroupGraph:
 
         Input already in canonical numbering, such as the JSON ``fg
         graph`` writes, is recognised by one walk over the step table of
-        the foldedness check (``_is_canonical``) and kept as it is: its
-        edge tuple and that table.  Any other input goes through
-        ``_canonical_core``, which renumbers it, and whose walk also
-        shows a graph that is not connected or not a core.
+        the foldedness check (``_is_canonical``) and kept as it is: that
+        table and its edge tuple, if it has one.  The input graph keeps
+        the table only when the table is all it holds.  Any other input
+        goes through ``_canonical_core``, which renumbers it, and whose
+        walk also shows a graph that is not connected or not a core.
         """
         _check_vertex(graph, base, "base vertex")
-        if graph.vertex_count > len(graph.edges) + 1:  # before the table
+        if graph.vertex_count > graph.edge_count + 1:  # before the table
             raise InvalidInputError("subgroup graph must be connected")
         table = graph._step_table()  # raises if not folded
-        graph._steps = None  # one copy of the table lives at a time
+        if graph._edges is not None:  # else the table is all the graph holds
+            graph._steps = None  # one copy of the table lives at a time
         n = graph.vertex_count
         if base == 0 and _is_canonical(table, n):
-            self.graph = XDigraph._trusted(graph.alphabet, n, graph.edges, table)
+            self.graph = XDigraph._trusted(graph.alphabet, n, graph._edges, table)
             return
         canon, order = _canonical_core(graph.alphabet, table, n, base)
         if len(order) != n:
@@ -120,13 +131,13 @@ class SubgroupGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.graph.edges)
+        return self.graph.edge_count
 
     def canonical_key(self) -> tuple:
         return (self.graph.alphabet.symbols, self.graph.vertex_count, self.graph.edges)
 
     def is_trivial(self) -> bool:
-        return not self.graph.edges
+        return not self.graph.edge_count
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SubgroupGraph) and self.graph == other.graph
@@ -267,11 +278,13 @@ class SpanningTree:
     geodesic: bool
 
     def path_codes(self, v: int) -> tuple[int, ...]:
+        parent, enter, root = self.parent, self.enter, self.root
         out: list[int] = []
-        while v != self.root:
-            out.append(self.enter[v])  # type: ignore[arg-type]
-            v = self.parent[v]
-        return tuple(reversed(out))
+        while v != root:
+            out.append(enter[v])  # type: ignore[arg-type]
+            v = parent[v]
+        out.reverse()
+        return tuple(out)
 
     def path_word(self, v: int) -> Word:
         return Word(self.host.alphabet, self.path_codes(v))
@@ -354,11 +367,20 @@ class Basis:
 
 
 def non_tree_edges(g: SubgroupGraph, tree: SpanningTree) -> list[Edge]:
-    """Edges of the graph outside the tree; raises unless the tree spans
-    this graph."""
+    """Edges of the graph outside the tree, in sorted order; raises
+    unless the tree spans this graph.  Read off the step table, rows in
+    vertex order and positive codes in code order, so the graph's edge
+    tuple is not needed."""
     if tree.host != g.graph:
         raise InvalidInputError("the spanning tree belongs to another graph")
-    return [e for e in g.graph.edges if e not in tree.edges]
+    table, width = g.graph._step_table(), g.alphabet.num_codes
+    in_tree = tree.edges
+    return [
+        e
+        for v, row in enumerate(_rows(table, width, g.vertex_count))
+        for x, far in enumerate(row[::2])
+        if far >= 0 and (e := (v, x, far)) not in in_tree
+    ]
 
 
 def basis(g: SubgroupGraph, tree: Optional[SpanningTree] = None) -> Basis:
@@ -388,7 +410,7 @@ def _loop_word(tree: SpanningTree, e: Edge) -> Word:
     """
     o, x, t = e
     alphabet, head = tree.host.alphabet, tree.path_codes(o)
-    codes = head + (2 * x,) + tuple(c ^ 1 for c in reversed(tree.path_codes(t)))
+    codes = head + (2 * x,) + tuple(map(xor, reversed(tree.path_codes(t)), repeat(1)))
     for i in (len(head) - 1, len(head)):  # the junctions before and after e
         if 0 <= i < len(codes) - 1 and codes[i] == codes[i + 1] ^ 1:
             raise InvalidInputError(
@@ -400,7 +422,7 @@ def _loop_word(tree: SpanningTree, e: Edge) -> Word:
 
 def rank(g: SubgroupGraph) -> int:
     """rk(H) = #E - #V + 1 for the canonical graph."""
-    return len(g.graph.edges) - g.vertex_count + 1
+    return g.graph.edge_count - g.vertex_count + 1
 
 
 def rewrite_in_basis(g: SubgroupGraph, tree: SpanningTree, w: Word) -> tuple[int, ...]:

@@ -3,6 +3,7 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from random import Random
 from typing import NamedTuple, Optional
 
 import pytest
@@ -322,9 +323,10 @@ def test_non_utf8_graph_file_exit_2(capsys, tmp_path):
 
 
 def test_fg_graph_output_loads_in_one_pass(capsys, monkeypatch):
-    # the JSON `fg graph` writes is canonical: loading it builds the step
-    # table once, for the foldedness check, and neither re-sorts its edges
-    # through XDigraph(...) nor renumbers it through _core_numbering
+    # the JSON `fg graph` writes is canonical: loading it is one pass over
+    # its records, which writes the step table and recognises the numbering,
+    # with no second table build, no XDigraph(...) sort, no canonical walk
+    # and no renumbering through _core_numbering
     import freegroups.cli as cli
     import freegroups.graph as fgraph
     import freegroups.subgroup as fsub
@@ -332,7 +334,7 @@ def test_fg_graph_output_loads_in_one_pass(capsys, monkeypatch):
 
     code, text, _ = run(capsys, "--alphabet", "ab", "graph", "--sub", "aabAB,bbaBA,abababab")
     assert code == 0
-    calls = {"init": 0, "numbering": 0, "tables": 0}
+    calls = dict.fromkeys(["init", "numbering", "tables", "records", "edge path", "walks"], 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -348,10 +350,14 @@ def test_fg_graph_output_loads_in_one_pass(capsys, monkeypatch):
 
     monkeypatch.setattr(fgraph.XDigraph, "__init__", counted("init", fgraph.XDigraph.__init__))
     monkeypatch.setattr(fgraph.XDigraph, "_step_table", build_counted)
+    monkeypatch.setattr(fgraph, "_records_table", counted("records", fgraph._records_table))
+    monkeypatch.setattr(fgraph, "_records_edges", counted("edge path", fgraph._records_edges))
+    monkeypatch.setattr(fsub, "_is_canonical", counted("walks", fsub._is_canonical))
     for module in (fgraph, fsub):
         monkeypatch.setattr(module, "_core_numbering", counted("numbering", module._core_numbering))
     loaded = cli._load_subgroup(text, Alphabet.from_string("ab"))
-    assert calls == {"init": 0, "numbering": 0, "tables": 1}
+    assert calls == {"init": 0, "numbering": 0, "tables": 0, "records": 1, "edge path": 0,
+                     "walks": 0}
     assert fgraph.graph_to_json(loaded.based) + "\n" == text
     # the same graph renumbered takes the full path
     record = json.loads(text)
@@ -360,6 +366,36 @@ def test_fg_graph_output_loads_in_one_pass(capsys, monkeypatch):
     record["base"] = record["vertices"] - 1
     assert cli._load_subgroup(json.dumps(record), loaded.alphabet) == loaded
     assert calls["numbering"] == 1
+
+
+@pytest.mark.parametrize("verb, word, derived", [
+    ("member", "aab", 0), ("conjugate", "ba", 0), ("basis", None, 0), ("hall", "bab", 1),
+])
+def test_stored_graph_edges_are_derived_only_when_read(capsys, monkeypatch, tmp_path,
+                                                       verb, word, derived):
+    # a stored graph is loaded into its step table alone: member, conjugate
+    # and basis never derive its edge tuple, and hall derives it once
+    import freegroups.graph as fgraph
+
+    rng = Random(5)
+    gens = ",".join("".join(rng.choice("ab") for _ in range(40)) for _ in range(9))
+    code, text, _ = run(capsys, "--alphabet", "ab", "graph", "--sub", gens)
+    assert code == 0 and json.loads(text)["vertices"] >= 300
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    argv = ["--alphabet", "ab", verb, "--sub", str(path)] + (["--word", word] if word else [])
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0
+    calls = []
+
+    def counted(table, width, vertex_count):
+        calls.append(vertex_count)
+        return table_edges(table, width, vertex_count)
+
+    table_edges = fgraph._table_edges
+    monkeypatch.setattr(fgraph, "_table_edges", counted)
+    assert run(capsys, *argv)[:2] == (0, expected)
+    assert calls == [json.loads(text)["vertices"]] * derived
 
 
 @pytest.mark.parametrize("verb", ["graph", "dot"])

@@ -34,12 +34,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freegroups.cli import _subgroup_from_json
 from freegroups.extensions import principal_quotients
 from freegroups.errors import InvalidInputError
 from freegroups.graph import (
     XDigraph,
     _core_numbering,
     _fold,
+    _load_graph,
     _star_masks,
     connected_components,
     core,
@@ -591,12 +593,20 @@ def test_core_keeps_the_base_when_pruning_reaches_it():
 
 
 def _load(text: str):
-    """The graph-JSON load as ``fg`` runs it, or the error it raises."""
+    """The graph-JSON load through the public functions, or the error it
+    raises; ``fg``'s load (``cli._subgroup_from_json``) must agree."""
+    try:
+        alphabet = Alphabet(tuple(json.loads(text)["alphabet"]))
+        fg = _subgroup_from_json(text, alphabet)
+    except Exception as exc:  # the class and message are compared
+        fg = (type(exc), str(exc))
     try:
         based = graph_from_json(text)
-        return based, SubgroupGraph(based.graph, based.base)
-    except Exception as exc:  # the class and message are compared
-        return None, (type(exc), str(exc))
+        loaded = SubgroupGraph(based.graph, based.base)
+    except Exception as exc:
+        based, loaded = None, (type(exc), str(exc))
+    assert fg == loaded
+    return based, loaded
 
 
 def _load_by_passes(text: str):
@@ -650,12 +660,11 @@ def _corrupted(rng: Random, record: dict) -> dict:
 def test_graph_json_load_matches_the_load_by_passes(h, seed):
     rng = Random(seed)
     text = graph_to_json(h.based)
-    # canonical JSON is kept: its edge tuple and the checked step table
+    # canonical JSON is kept: the step table its record pass wrote
     based, loaded = _load(text)
-    assert loaded == h == _load_by_passes(text)
-    assert loaded.graph.edges is based.graph.edges
-    assert based.graph._steps is None
+    assert loaded.graph._steps is based.graph._steps
     assert loaded.graph._steps == XDigraph(h.alphabet, h.vertex_count, h.graph.edges)._step_table()
+    assert loaded == h == _load_by_passes(text)
     # the same graph relabelled and shuffled is renumbered to it
     record = json.loads(text)
     moved = json.dumps(_relabelled(rng, record))
@@ -664,6 +673,79 @@ def test_graph_json_load_matches_the_load_by_passes(h, seed):
     for start in (record, _relabelled(rng, record)):
         bad = json.dumps(_corrupted(rng, start))
         assert _load(bad)[1] == _load_by_passes(bad)
+
+
+def _swapped(rng: Random, record: dict) -> dict:
+    """The same graph with two vertices swapped, vertex 0 every second
+    time, and its edges in their order."""
+    n = record["vertices"]
+    u, v = (0 if rng.random() < 0.5 else rng.randrange(n)), rng.randrange(n)
+    perm = list(range(n))
+    perm[u], perm[v] = v, u
+    edges = [[perm[o], x, perm[t]] for o, x, t in record["edges"]]
+    return {**record, "base": perm[record["base"]], "edges": edges}
+
+
+def _doubled(record: dict) -> dict:
+    """Two disjoint copies of the graph, based in the first."""
+    n = record["vertices"]
+    edges = record["edges"] + [[o + n, x, t + n] for o, x, t in record["edges"]]
+    return {**record, "vertices": 2 * n, "edges": edges}
+
+
+def _with_leaf(rng: Random, record: dict) -> dict:
+    """The graph with one new vertex hung on a free slot of some vertex."""
+    n, labels = record["vertices"], list(record["alphabet"])
+    taken = {(o, x, 0) for o, x, _ in record["edges"]} | {(t, x, 1) for _, x, t in record["edges"]}
+    free = [(v, x, d) for v in range(n) for x in labels for d in (0, 1) if (v, x, d) not in taken]
+    if not free:  # every vertex is full: no leaf can be hung on
+        return record
+    v, x, d = rng.choice(free)
+    edge = [v, x, n] if d == 0 else [n, x, v]
+    edges = record["edges"][:]
+    edges.insert(rng.randrange(len(edges) + 1), edge)
+    return {**record, "vertices": n + 1, "edges": edges}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([A1, AB, ABC]), st.integers(0, 2**32))
+def test_record_pass_recognises_canonical_numbering_as_the_walk_does(alphabet, seed):
+    # the first-slot and degree test of the record pass against the walk
+    # _is_canonical makes over the table of the same graph, in any record order
+    rng = Random(seed)
+    h = _subgroup(rng, alphabet, 30)
+    record = json.loads(graph_to_json(h.based))
+    variants = [record, _relabelled(rng, record), _swapped(rng, record), _doubled(record),
+                _with_leaf(rng, record)]
+    for variant in variants:
+        n = variant["vertices"]
+        edges = [(o, alphabet.symbols.index(x), t) for o, x, t in variant["edges"]]
+        walked = _is_canonical(XDigraph(alphabet, n, edges)._step_table(), n)
+        based, canonical = _load_graph(json.dumps(variant))
+        assert canonical == (variant["base"] == 0 and walked)
+        assert based.graph.edges == tuple(sorted(edges))
+    assert _load_graph(json.dumps(record))[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_subgroups(max_vertices=30), st.integers(0, 2**32))
+def test_a_loaded_graph_has_the_value_of_its_edges(h, seed):
+    # a graph loaded into its step table alone equals, hashes, prints,
+    # pickles and copies as XDigraph(...) of its record edges does, before
+    # and after its edge tuple is derived
+    record = json.loads(graph_to_json(h.based))
+    for variant in (record, _relabelled(Random(seed), record)):
+        text = json.dumps(variant)
+        alphabet = h.alphabet
+        edges = [(o, alphabet.symbols.index(x), t) for o, x, t in variant["edges"]]
+        expected = XDigraph(alphabet, h.vertex_count, edges)
+        for view in (lambda g: g, hash, repr, lambda g: pickle.loads(pickle.dumps(g)),
+                     copy.deepcopy):
+            g = graph_from_json(text).graph
+            assert g.edge_count == expected.edge_count and g._edges is None
+            assert view(g) == view(expected) and view(expected) == view(g)
+            assert g.edges == tuple(sorted(edges)) == expected.edges
+            assert view(g) == view(expected) and view(expected) == view(g)
 
 
 def test_graph_json_load_reports_the_first_bad_edge_in_sorted_order():

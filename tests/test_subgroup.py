@@ -569,8 +569,9 @@ def test_subgroup_graph_validation():
 def test_subgroup_graph_hands_its_checked_step_table_on():
     # the input graph no longer holds the table built to validate it; an
     # input already in canonical numbering hands it, and its edge tuple,
-    # to the canonical graph, and any other input is renumbered afresh
-    from freegroups.graph import XDigraph
+    # to the canonical graph, and any other input is renumbered afresh; a
+    # graph that holds its table alone, as a loaded one does, keeps it
+    from freegroups.graph import XDigraph, graph_from_json, graph_to_json
 
     rng = Random(91)
     for _ in range(20):
@@ -591,20 +592,35 @@ def test_subgroup_graph_hands_its_checked_step_table_on():
         assert kept.graph.edges is canonical.edges
         assert kept.graph._steps is checked
         assert canonical._steps is None
+        stored = graph_from_json(graph_to_json(h.based)).graph
+        table = stored._steps
+        kept = SubgroupGraph(stored, 0)
+        assert stored._steps is table is kept.graph._steps
+        assert stored._edges is kept.graph._edges is None
+        assert kept == h
+        assert stored.edges == h.graph.edges
 
 
 def test_a_loaded_graph_holds_one_int_object_per_vertex():
     # json.loads makes a new int object for every endpoint past the small
-    # int cache; the loader interns them, and a canonical graph keeps them
+    # int cache; the load writes them into the step table from one list of
+    # vertex ints, and a canonical graph keeps that table; the edge tuple
+    # derived from it takes its termini from the table and one origin per
+    # vertex
     from freegroups.graph import graph_from_json, graph_to_json
 
     h = stallings_graph(AB, [P("a" * 300 + "b"), P("ba")])
     based = graph_from_json(graph_to_json(h.based))
-    ids = {id(v) for o, _, t in based.graph.edges for v in (o, t)}
-    assert len(ids) == h.vertex_count == 302
+    assert based.graph._edges is None
+    table_ids = {id(v) for v in based.graph._steps if v >= 0}
+    assert len(table_ids) == h.vertex_count == 302
     kept = SubgroupGraph(based.graph, based.base)
     assert kept == h
-    assert kept.graph.edges is based.graph.edges
+    assert kept.graph._steps is based.graph._steps
+    edges = kept.graph.edges
+    assert edges == h.graph.edges
+    assert {id(t) for _, _, t in edges} <= table_ids
+    assert len({id(o) for o, _, _ in edges}) <= h.vertex_count
 
 
 XY = Alphabet.from_string("xy")
