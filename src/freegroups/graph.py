@@ -36,7 +36,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 from random import Random
-from typing import Iterable, Iterator, NamedTuple, NoReturn, Optional
+from typing import Iterable, Iterator, NamedTuple, NoReturn, Optional, Sequence
 
 from .errors import AlphabetMismatchError, InvalidInputError
 from .words import Alphabet, Word
@@ -328,10 +328,11 @@ def _fold(
     ``_fold_merges`` performs in a union-find forest.  A merge reads one
     row of ``width`` slots and there are fewer than ``#V`` merges, so
     the work is near-linear.  The result, the finest folded quotient,
-    does not depend on the edge order; its vertices are the blocks,
-    numbered by least vertex.  Returns its step table, its vertex count
-    and each vertex's block.  The check that each half-edge is undone by
-    its inverse code raises, even under -O.
+    does not depend on the edge order.  The tail it shares with
+    ``_fold_wedge``, ``_quotient_table``, numbers the blocks by least
+    vertex and checks, even under -O, that each half-edge is undone by
+    its inverse code.  Returns the quotient's step table, its vertex
+    count and each vertex's block.
     """
     table = [-1] * (vertex_count * width)
     parent = list(range(vertex_count))
@@ -350,22 +351,107 @@ def _fold(
         elif held != o:
             merges.append((held, o))
     _fold_merges(table, parent, merges)
-    # a root is the least vertex of its block and every other vertex's
-    # parent is less than it, so one pass in vertex order numbers the
-    # blocks by least vertex; the roots' rows are kept, renumbered
-    count = 0
-    block: list[int] = []
-    for v, p in enumerate(parent):
-        if p == v:
-            block.append(count)
-            count += 1
-        else:
-            block.append(block[p])
-    block.append(-1)  # block[-1]: an empty slot stays empty
-    roots = map(operator.eq, parent, range(vertex_count))
-    rows = compress(_rows(table, width, vertex_count), roots)
-    table = list(map(block.__getitem__, chain.from_iterable(rows)))
-    block.pop()
+    return _quotient_table(table, parent, width)
+
+
+def _fold_wedge(words: Iterable[Sequence[int]], width: int) -> tuple[list[int], int]:
+    """The finest folded quotient of the wedge of loops at vertex 0 that
+    spell these freely reduced words, over ``width`` signed codes, read
+    into one growing step table in the order given: its step table and
+    vertex count.  Vertex 0, the wedge vertex, keeps the number 0.
+
+    Each word is read as far as the table allows, forwards from 0 and
+    backwards from 0 (the backward trace stops where it meets the
+    forward one), taking the block of each step; only the unread middle
+    is spelled, on fresh vertices.  Its first half-edge fills a slot the
+    forward trace found empty.  Its last half-edge fills one the
+    backward trace found empty, unless the first took it: both traces
+    may stop at one vertex, and a middle that starts with x and ends
+    with x^-1 then folds.  That merge, and the one closing a word that
+    the traces cover, run at once in ``_fold_merges``, so later words
+    read through them.  The finest folded quotient does not depend on
+    the fold order (Kapovich and Myasnikov, "Stallings foldings and
+    subgroups of free groups", 2002), so this is what ``_fold`` makes
+    of the spelled wedge, without spelling what folds away.
+
+    The tail is ``_fold``'s (``_quotient_table``).  Then each queued
+    merge must have ended in one block, even under -O: a merge loop
+    that did nothing would leave a table that is folded but wrong.
+    """
+    table = [-1] * width
+    parent = [0]
+    closing: list[tuple[int, int]] = []
+    for codes in words:
+        v = i = 0
+        for code in codes:  # the forward trace
+            far = table[v * width + code]
+            if far < 0:
+                break
+            v = far if parent[far] == far else _find(parent, far)
+            i += 1
+        u, j = 0, len(codes)
+        while j > i:  # the backward trace, reading inverse codes
+            far = table[u * width + (codes[j - 1] ^ 1)]
+            if far < 0:
+                break
+            u = far if parent[far] == far else _find(parent, far)
+            j -= 1
+        if j > i:  # spell codes[i:j] from v to u through j - i - 1 fresh vertices
+            fresh = len(parent)
+            parent += range(fresh, fresh + j - i - 1)
+            table += [-1] * ((j - i - 1) * width)
+            prev = v
+            for w, code in enumerate(codes[i:j - 1], fresh):
+                table[prev * width + code] = w
+                table[w * width + (code ^ 1)] = prev
+                prev = w
+            code = codes[j - 1]
+            table[prev * width + code] = u
+            slot = u * width + (code ^ 1)
+            held = table[slot]
+            if held < 0:
+                table[slot] = prev
+                continue
+            v, u = held, prev  # the middle's first half-edge took the slot
+        if v != u:
+            closing.append((v, u))
+            _fold_merges(table, parent, [(v, u)])
+    table, count, block = _quotient_table(table, parent, width)
+    for a, b in closing:
+        if block[a] != block[b]:
+            raise AssertionError("a queued merge of the wedge fold left two blocks")
+    return table, count
+
+
+def _quotient_table(
+    table: list[int], parent: list[int], width: int
+) -> tuple[list[int], int, list[int]]:
+    """The tail of ``_fold`` and ``_fold_wedge``: the quotient of a step
+    table by the union-find forest ``parent`` that ``_fold_merges`` left,
+    as its step table, vertex count and each vertex's block, with the
+    blocks numbered by least vertex.  When no block merged, the table
+    already is the quotient and is kept.  The check that each half-edge
+    is undone by its inverse code raises, even under -O."""
+    vertex_count = len(parent)
+    if all(map(operator.eq, parent, range(vertex_count))):
+        count, block = vertex_count, list(range(vertex_count))
+    else:
+        # a root is the least vertex of its block and every other vertex's
+        # parent is less than it, so one pass in vertex order numbers the
+        # blocks by least vertex; the roots' rows are kept, renumbered
+        count = 0
+        block = []
+        for v, p in enumerate(parent):
+            if p == v:
+                block.append(count)
+                count += 1
+            else:
+                block.append(block[p])
+        block.append(-1)  # block[-1]: an empty slot stays empty
+        roots = map(operator.eq, parent, range(vertex_count))
+        rows = compress(_rows(table, width, vertex_count), roots)
+        table = list(map(block.__getitem__, chain.from_iterable(rows)))
+        block.pop()
     # each positive half-edge is undone by its inverse code: per letter,
     # every vertex with an outgoing edge is led back to itself by the
     # inverse slot of the far end, and no other inverse slot is taken

@@ -19,10 +19,13 @@ graph JSON into its table recognises canonical numbering on the way
 (``graph._load_graph``).  Counting edges (``rank``, ``edge_count``,
 ``is_trivial``) and ``non_tree_edges`` read the table, so a loaded
 graph's edge tuple is derived only by what needs it.
-Constructions that fold (generators, joins) share one path,
-``_fold_core``: ``graph._fold`` folds the edge list into a table and
-checks it once, and the walk reads it where it lies.  A conjugating
-stem cannot fold, so ``conjugate`` extends a copy of the table.
+Generators are read into one growing table (``graph._fold_wedge``):
+each is traced through the graph built so far, and only its unread
+middle is spelled and folded.  A join folds the spelled edges of both
+graphs (``_fold_core``: ``graph._fold`` folds the edge list into a
+table and checks it once).  Either way the walk reads the table where
+it lies.  A conjugating stem cannot fold, so ``conjugate`` extends a
+copy of the table.
 
 Algorithms here cover construction by folding, membership, spanning
 trees and free bases, Schreier rewriting, rank, index and cosets,
@@ -51,6 +54,7 @@ from .graph import (
     _check_vertex,
     _core_numbering,
     _fold,
+    _fold_wedge,
     _read,
     _rows,
     based_isomorphism,
@@ -211,21 +215,27 @@ def stallings_graph(
 ) -> SubgroupGraph:
     """Construct the canonical graph of ``<gens>``.
 
-    The edges of a wedge of loops spelling the generators are folded,
-    cored and renumbered at the wedge vertex (``_fold_core``); ``rng``
-    shuffles their folding order.  Trivial generators are ignored; the
-    empty set yields the single-vertex graph of the trivial subgroup.
-    The number of elementary folds is at most the total generator length.
+    The generators are read into one folded step table
+    (``graph._fold_wedge``), each traced through the graph built so far
+    and only its unread middle spelled; the table is then cored and
+    renumbered at the wedge vertex.  They are read shortest first, in a
+    stable sort, so a basis given after its products is read first and
+    the products trace through it; ``rng`` shuffles the reading order
+    instead.  Trivial generators are ignored; the empty set yields the
+    single-vertex graph of the trivial subgroup.  The number of merges
+    is at most the total generator length.
     """
-    edges: list[Edge] = []
-    n = 1
+    words = []
     for w in gens:
         if w.alphabet != alphabet:
             raise AlphabetMismatchError("generators must share the given alphabet")
-        n = _spell_path(edges, 0, w.codes, n, end=0)
-    if rng is not None:
-        rng.shuffle(edges)
-    return _fold_core(alphabet, n, edges, 0)
+        words.append(w.codes)
+    if rng is None:
+        words.sort(key=len)
+    else:
+        rng.shuffle(words)
+    table, count = _fold_wedge(words, alphabet.num_codes)
+    return _canonical_core(alphabet, table, count, 0)[0]
 
 
 def _spell_path(

@@ -28,7 +28,7 @@ class Alphabet:
     alphabet is allowed and yields the trivial free group.
     """
 
-    __slots__ = ("symbols", "_index", "_letters", "_names")
+    __slots__ = ("symbols", "_index", "_letters", "_names", "_bytemap")
 
     def __init__(self, symbols: Iterable[str]):
         syms = tuple(str(s) for s in symbols)
@@ -42,14 +42,22 @@ class Alphabet:
         # The one-letter convention, when every symbol is a cased letter:
         # each symbol and its exact uppercase map to their signed codes.
         # Insertion follows code order, so the keys read back by code.
+        # The byte map takes each latin-1 character to its code as one
+        # byte, and every other character, or a code too large, to 255.
         self._letters: Optional[dict[str, int]] = None
         self._names: tuple[str, ...] = ()
+        self._bytemap = b""
         if all(map(_is_cased_letter, syms)):
             self._letters = {}
             for i, s in enumerate(syms):
                 self._letters[s] = 2 * i
                 self._letters[s.upper()] = 2 * i + 1
             self._names = tuple(self._letters)
+            bytemap = bytearray(b"\xff") * 256
+            for ch, code in self._letters.items():
+                if ord(ch) < 256 and code < 255:
+                    bytemap[ord(ch)] = code
+            self._bytemap = bytes(bytemap)
 
     @classmethod
     def from_string(cls, text: str) -> "Alphabet":
@@ -242,24 +250,48 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     inverse; whitespace is ignored.  Any other character, including one
     that merely lowercases to a letter, raises :class:`WordParseError`
     with the offending position.
+
+    A latin-1 text of letters is mapped to its codes by one
+    ``bytes.translate``; when no adjacent pair of them cancels, those
+    codes are the word.  Any other text, such as one with whitespace or
+    an unknown character, goes through the loop over its characters
+    (``_letter_codes``).
     """
     letters = alphabet._letters
     if letters is None:
         raise InvalidInputError(
             "textual parsing needs an alphabet of single lowercase letters"
         )
+    try:
+        raw = text.encode("latin-1").translate(alphabet._bytemap)
+    except UnicodeEncodeError:
+        raw = b"\xff"
+    if 255 in raw:
+        raw = _letter_codes(text, letters)
+    elif not any(bytes((c, c ^ 1)) in raw for c in range(min(alphabet.num_codes, 254))):
+        return Word._trusted(alphabet, tuple(raw))
     stack: list[int] = []
+    for code in raw:
+        if stack and stack[-1] == code ^ 1:
+            stack.pop()
+        else:
+            stack.append(code)
+    return Word._trusted(alphabet, tuple(stack))
+
+
+def _letter_codes(text: str, letters: dict[str, int]) -> list[int]:
+    """The codes of the letters of ``text``, read one character at a
+    time; whitespace is skipped, and any other character raises
+    :class:`WordParseError` at its position."""
+    codes = []
     for pos, ch in enumerate(text):
         code = letters.get(ch)
         if code is None:
             if ch.isspace():
                 continue
             raise WordParseError(f"unknown character {ch!r}", pos)
-        if stack and stack[-1] == code ^ 1:
-            stack.pop()
-        else:
-            stack.append(code)
-    return Word._trusted(alphabet, tuple(stack))
+        codes.append(code)
+    return codes
 
 
 def synthetic_alphabet(size: int) -> Alphabet:

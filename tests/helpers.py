@@ -11,7 +11,7 @@ from random import Random
 from typing import Optional, Sequence
 
 from freegroups.cli import _build_parser
-from freegroups.errors import InvalidInputError, ResourceLimitError
+from freegroups.errors import InvalidInputError, ResourceLimitError, WordParseError
 from freegroups.extensions import ExtensionVerdict, PrincipalQuotient, principal_quotients
 from freegroups.graph import (
     BasedGraph,
@@ -448,16 +448,38 @@ def _subgroup_of_core(g: XDigraph, v: int) -> SubgroupGraph:
     return SubgroupGraph(cored, vmap[v])
 
 
-def stallings_graph_unfused(
-    alphabet: Alphabet, gens: Sequence[Word], rng: Optional[Random] = None
-) -> SubgroupGraph:
-    """fold_all, then a separate core, then the validating constructor."""
+def spelled_wedge(alphabet: Alphabet, gens: Sequence[Word]) -> XDigraph:
+    """The wedge of loops at vertex 0, one spelling each generator."""
     edges: list[Edge] = []
     n = 1
     for w in gens:
         n = _spell_path(edges, 0, w.codes, n, end=0)
-    folded, vmap = fold_all(XDigraph(alphabet, n, edges), rng)
+    return XDigraph(alphabet, n, edges)
+
+
+def stallings_graph_unfused(
+    alphabet: Alphabet, gens: Sequence[Word], rng: Optional[Random] = None
+) -> SubgroupGraph:
+    """fold_all of the spelled wedge, then a separate core, then the
+    validating constructor."""
+    folded, vmap = fold_all(spelled_wedge(alphabet, gens), rng)
     return _subgroup_of_core(folded, vmap[0])
+
+
+def parse_word_by_chars(text: str, alphabet: Alphabet) -> Word:
+    """parse_word one character at a time, reducing as it reads."""
+    stack: list[int] = []
+    for pos, ch in enumerate(text):
+        code = alphabet._letters.get(ch)
+        if code is None:
+            if ch.isspace():
+                continue
+            raise WordParseError(f"unknown character {ch!r}", pos)
+        if stack and stack[-1] == code ^ 1:
+            stack.pop()
+        else:
+            stack.append(code)
+    return Word(alphabet, stack)
 
 
 def conjugate_unfused(g: SubgroupGraph, w: Word) -> SubgroupGraph:

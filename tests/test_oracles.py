@@ -1,21 +1,24 @@
 """The step-table walks and the Whitehead descent against independent oracles.
 
-A graph's step table, and the tables that folds, cores and products
-hand on to the graphs they build, must hold what step maps built one
+A graph's step table, and the tables that folds, cores and products hand
+on to the graphs they build, must hold what step maps built one
 half-edge at a time hold, and reject an unfolded graph with the same
-message.  The base-component intersection, the component walk behind the reports
-and the malnormal and cyclonormal tests, and the fused fold -> core ->
-canonical builds must give exactly what the full product graph and the
-unfused builds give; the swap classes of a self-product, each lifted
-to its component and that component's swap, must give the components
-of the walk over all ordered pairs; a component report is the same
-value whether or not its graph has been built.  The one-pass graph-JSON load must give
-what the load in separate passes gives, errors included.  The
-star-split sizes of Whitehead moves must match the built images and
-the move-by-move count, edge substitution must build what folding the
-images of a basis builds, the descent over cut masks must take the
-enumerated descent's steps, and the descent on cyclic cores must decide
-free factors as the descent on based graphs does.
+message.  The base-component intersection, the component walk behind the
+reports and the malnormal and cyclonormal tests, and the fused fold ->
+core -> canonical builds must give exactly what the full product graph
+and the unfused builds give; generators read into one table must make
+the fold of the spelled wedge in any reading order; the swap classes of
+a self-product, each lifted to its component and that component's swap,
+must give the components of the walk over all ordered pairs; a component
+report is the same value whether or not its graph has been built.
+``parse_word`` must read a text as the loop over its characters does,
+errors included.  The one-pass graph-JSON load must give what the load
+in separate passes gives, errors included.  The star-split sizes of
+Whitehead moves must match the built images and the move-by-move count,
+edge substitution must build what folding the images of a basis builds,
+the descent over cut masks must take the enumerated descent's steps, and
+the descent on cyclic cores must decide free factors as the descent on
+based graphs does.
 """
 
 import copy
@@ -36,13 +39,17 @@ from hypothesis import strategies as st
 
 from freegroups.cli import _subgroup_from_json
 from freegroups.extensions import principal_quotients
-from freegroups.errors import InvalidInputError
+from freegroups.errors import InvalidInputError, WordParseError
 from freegroups.graph import (
+    BasedGraph,
     XDigraph,
     _core_numbering,
     _fold,
+    _fold_wedge,
     _load_graph,
+    _quotient_table,
     _star_masks,
+    based_isomorphism,
     connected_components,
     core,
     fold_all,
@@ -99,9 +106,11 @@ from helpers import (
     minimal_cyclic_core_by_enumeration,
     move_sizes_by_classes,
     naive_fold,
+    parse_word_by_chars,
     rand_subgroup,
     rand_word,
     smaller_state_on_plateau,
+    spelled_wedge,
     stallings_graph_unfused,
     step_maps_by_edges,
     subgroup_from_json_by_passes,
@@ -453,6 +462,101 @@ def test_stallings_graph_of_empty_and_trivial_generators():
     assert stallings_graph(ABC, [free_reduce(ABC, [])] * 3).graph.vertex_count == 1
 
 
+@st.composite
+def _wedge_words(draw):
+    """Generator lists over F1, F2 or F3, some of them equal to, inverse
+    to or proper powers of others."""
+    alphabet = draw(st.sampled_from([A1, AB, ABC]))
+    code = st.integers(0, alphabet.num_codes - 1)
+    words = [free_reduce(alphabet, codes)
+             for codes in draw(st.lists(st.lists(code, max_size=12), max_size=5))]
+    kin = st.tuples(st.integers(0, 4), st.sampled_from([1, -1, 2, -2, 3]))
+    for i, power in draw(st.lists(kin, max_size=3)) if words else ():
+        words.append(words[i % len(words)] ** power)
+    return alphabet, draw(st.permutations(words))
+
+
+def _wedge_graph(alphabet, words) -> XDigraph:
+    """The graph _fold_wedge reads these words into, in the order given."""
+    table, count = _fold_wedge([w.codes for w in words], alphabet.num_codes)
+    return XDigraph._trusted(alphabet, count, None, table)
+
+
+def _assert_folds_the_spelled_wedge(alphabet, words, built: XDigraph) -> None:
+    # the table is a folded graph's (its edges give it back), and that
+    # graph is the fold of the spelled wedge, based at the wedge vertex
+    assert XDigraph(alphabet, built.vertex_count, built.edges)._step_table() == built._steps
+    folded, vmap = fold_all(spelled_wedge(alphabet, words))
+    assert based_isomorphism(BasedGraph(built, 0), BasedGraph(folded, vmap[0])) is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wedge_words(), st.integers(0, 2**32))
+def test_wedge_fold_matches_the_fold_of_the_spelled_wedge(gens, seed):
+    alphabet, words = gens
+    shuffled = list(words)
+    Random(seed).shuffle(shuffled)
+    for order in (words, sorted(words, key=len), shuffled):
+        _assert_folds_the_spelled_wedge(alphabet, words, _wedge_graph(alphabet, order))
+    for rng in (None, Random(seed)):
+        assert stallings_graph(alphabet, words, rng) == stallings_graph_unfused(alphabet, words)
+
+
+def test_wedge_fold_folds_a_middle_that_both_traces_leave_at_one_vertex():
+    # b and aaB build a b-loop at 0 and a's from 0 to 1 and back; BabaBA
+    # reads Ba forwards and A backwards, both to vertex 1, so its middle
+    # baB, which is not cyclically reduced, fills b at 1 first and last
+    words = [parse_word(t, AB) for t in ("b", "aaB", "BabaBA")]
+    built = _wedge_graph(AB, words)
+    _assert_folds_the_spelled_wedge(AB, words, built)
+    assert (built.vertex_count, built.edge_count) == (3, 5)
+
+
+def test_wedge_fold_without_merges_keeps_its_table_and_still_checks_it():
+    # aab and bba share no prefix or suffix at the wedge vertex, so
+    # nothing merges, and the tail keeps the table as it was built
+    words = [parse_word(t, AB) for t in ("aab", "bba")]
+    with mock.patch("freegroups.graph._quotient_table", wraps=_quotient_table) as tail:
+        built = _wedge_graph(AB, words)
+    table, parent, _ = tail.call_args.args
+    assert parent == list(range(built.vertex_count)) and built._steps is table
+    _assert_folds_the_spelled_wedge(AB, words, built)
+    # the inverse-code check runs on that path too: a half-edge whose
+    # inverse slot is empty raises
+    broken = list(table)
+    broken[broken.index(-1)] = 0
+    with pytest.raises(AssertionError, match="two equally labelled half-edges"):
+        _quotient_table(broken, parent, AB.num_codes)
+
+
+def test_wedge_fold_checks_raise_under_optimize():
+    # with the merge loop patched to do nothing, ab, aab leaves a folded
+    # table whose one queued merge is undone, which only the check of the
+    # queued merges sees; abA leaves slot a at 0 held by two vertices,
+    # which the inverse-code check sees first
+    script = """
+import freegroups.graph as fgraph
+from freegroups.subgroup import stallings_graph
+from freegroups.words import Alphabet, parse_word
+ab = Alphabet.from_string("ab")
+fgraph._fold_merges = lambda steps, parent, merges: None
+for texts in (("ab", "aab"), ("abA",)):
+    try:
+        stallings_graph(ab, [parse_word(t, ab) for t in texts])
+    except AssertionError as exc:
+        print(exc)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.stdout.splitlines() == [
+        "a queued merge of the wedge fold left two blocks",
+        "folding left two equally labelled half-edges at a vertex",
+    ], done.stderr
+
+
 @settings(max_examples=200, deadline=None)
 @given(_subgroups(max_vertices=30), st.integers(0, 2**32))
 def test_conjugate_matches_unfused(h, seed):
@@ -587,6 +691,34 @@ def test_core_keeps_the_base_when_pruning_reaches_it():
     # the same shape through conjugation: <a^3 b a^-3> conjugated by a^-1
     h = stallings_graph(AB, [parse_word("aaabAAA", AB)])
     assert conjugate(h, parse_word("A", AB)) == stallings_graph(AB, [parse_word("aabAA", AB)])
+
+
+# -- word parsing -------------------------------------------------------------------
+
+# é and É are latin-1 letters; ÿ is one too, but its inverse Ÿ is not, and
+# no α of the Greek alphabet is
+_PARSE_ALPHABETS = [AB, ABC, Alphabet.from_string("éÿ"), Alphabet.from_string("αβ")]
+_PARSE_CHARS = "abcABC" + "éÉÿŸ" + "αβΑΒ" + " \t\n\u3000" + "xZ0,\x00\xff😀"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(_PARSE_ALPHABETS), st.data())
+def test_parse_word_matches_the_loop_over_characters(alphabet, data):
+    # letters and their inverses alone, so that pairs cancel, or mixed
+    # with whitespace, unknown and non-latin-1 characters
+    chars = st.sampled_from(alphabet._names)
+    if data.draw(st.booleans()):
+        chars |= st.sampled_from(_PARSE_CHARS)
+    text = data.draw(st.text(chars))
+    try:
+        expected = parse_word_by_chars(text, alphabet)
+    except WordParseError as exc:
+        with pytest.raises(WordParseError) as raised:
+            parse_word(text, alphabet)
+        assert type(raised.value) is type(exc) and raised.value.position == exc.position
+        assert str(raised.value) == str(exc)
+        return
+    assert parse_word(text, alphabet) == expected
 
 
 # -- the graph-JSON load ----------------------------------------------------------
@@ -780,7 +912,7 @@ ab = Alphabet.from_string("ab")
 h = fs.stallings_graph(ab, [parse_word("ab", ab)])
 k = fs.stallings_graph(ab, [parse_word("aB", ab)])
 fgraph._fold_merges = lambda steps, parent, merges: None
-builds = [lambda: fs.stallings_graph(ab, [parse_word("ab", ab), parse_word("aB", ab)]),
+builds = [lambda: fs.stallings_graph(ab, [parse_word("ab", ab), parse_word("aab", ab)]),
           lambda: fs.join(h, k)]
 raised = 0
 for build in builds:
