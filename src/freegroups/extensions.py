@@ -3,12 +3,17 @@
 Every overgroup H >= K that is "algebraic" (admits no decomposition
 ``K' * C`` with ``K <= K'`` and ``C`` nontrivial) appears among the
 principal quotients of the graph of K, so the finitely many quotients
-enumerate all algebraic extensions.  A quotient is fixed by its
-kernel, the partition of the vertices of K that the unique based map
-onto it induces, and S <= Q exactly when the kernel of S refines that
-of Q.  Each quotient is reached from a finer one by a step that
-identifies two classes and folds; the steps form a directed acyclic
-graph on the quotients, and a step raises the rank by at most one.
+enumerate all algebraic extensions (Miasnikov, Ventura and Weil,
+"Algebraic extensions in free groups", 2007).  A quotient is fixed by
+its kernel, the partition of the vertices of K that the unique based
+map onto it induces, and S <= Q exactly when the kernel of S refines
+that of Q.  Each quotient is reached from a finer one by a step that
+identifies two classes and folds.  In a folded quotient the pairs
+(u, v) and (u.x, v.x) force each other, so the pairs of one component
+of its self-product, and their swaps, give one step: the quotient's
+steps are enumerated once per swap class.  The steps form a directed
+acyclic graph on the quotients, and a step raises the rank by at most
+one.
 When it raises it by exactly one, the target is generated by a basis
 of the source plus one element, so the source is a free factor of the
 target.  For S <= Q, S is a free factor of Q exactly when rk Q - rk S
@@ -25,12 +30,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import InvalidInputError, ResourceLimitError
 from .graph import Morphism, Subgraph, _find, _fold_merges, canonical_morphism
-from .intersect import is_malnormal
+from .intersect import _self_product_classes, is_malnormal
 from .subgroup import (
     SubgroupGraph,
     _canonical_core,
@@ -70,11 +74,19 @@ def principal_quotients(
     tuple giving each vertex of K the least vertex of its class.  Every
     epimorphism onto a folded graph factors through steps that identify
     two classes and fold, so kernels are enumerated from K's by such
-    steps, each closed by ``graph._fold_merges``, the merge loop of
-    every fold, over a copy of the class step table: the roots of its
-    forest are the new kernel.  Each kernel's class table is built once
-    and gives its graph (images of core graphs stay core) and quotient
-    map; every step is recorded in ``step_sources``.
+    steps: the lattice of principal quotients of Miasnikov, Ventura and
+    Weil.  Each kernel's class table is built once and gives its graph
+    (images of core graphs stay core) and quotient map.  Identifying a
+    pair of classes forces the pairs its common letters lead to, and is
+    forced by them, so every pair of one swap class of the quotient's
+    self-product gives the same step; the classes are walked once over
+    the class table (``intersect._self_product_classes``).  The least
+    pair of each class is merged by ``graph._fold_merges``, the merge
+    loop of every fold, over a copy of the table, and the roots of its
+    forest are the new kernel.  A pair whose stars share no letter is a
+    class of its own whose merge forces nothing: its kernel relabels
+    the greater class as the lesser, with no fold.  Every step is
+    recorded in ``step_sources``.
     Includes the graph of K itself.  Ordered by decreasing vertex count,
     then canonical form.
     """
@@ -83,7 +95,7 @@ def principal_quotients(
             f"quotient enumeration is limited to {max_vertices} vertices "
             f"(got {k.vertex_count}); pass max_vertices to override"
         )
-    k_table, n = k.graph._step_table(), k.vertex_count
+    k_table, n, width = k.graph._step_table(), k.vertex_count, k.alphabet.num_codes
     identity = tuple(range(n))
     sources: dict[tuple[int, ...], set[tuple[int, ...]]] = {identity: set()}
     found: dict[tuple[int, ...], tuple[SubgroupGraph, Morphism]] = {}
@@ -95,11 +107,16 @@ def principal_quotients(
         classes = sorted(set(kernel))
         if graph.vertex_count != len(classes):
             raise AssertionError("a quotient of a core graph must be core")
-        found[kernel] = graph, Morphism(tuple(map(order.index, kernel)))
-        for a, b in combinations(classes, 2):
-            parent = list(identity)
-            _fold_merges(table[:], parent, [(a, b)])  # the merge loop writes into the rows
-            merged = tuple([_find(parent, c) for c in kernel])
+        position = {c: i for i, c in enumerate(order)}
+        found[kernel] = graph, Morphism(tuple(map(position.__getitem__, kernel)))
+        for pairs, edge_count, _ in _self_product_classes(table, width, classes, lone=True):
+            a, b = divmod(pairs[0], n)
+            if edge_count:
+                parent = list(identity)
+                _fold_merges(table[:], parent, [(a, b)])  # the merge loop writes into the rows
+                merged = tuple([_find(parent, c) for c in kernel])
+            else:  # the stars of a and b share no letter, so the merge forces nothing
+                merged = tuple([a if c == b else c for c in kernel])
             if merged not in sources:
                 stack.append(merged)
             sources.setdefault(merged, set()).add(kernel)

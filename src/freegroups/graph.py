@@ -489,12 +489,14 @@ def _star_masks(g: XDigraph) -> list[int]:
     return masks
 
 
-def _stars(g: XDigraph) -> tuple[list[list[tuple[int, int]]], list[int]]:
-    """Per vertex of a folded graph, its steps ``(code, neighbour)`` in
-    code order, and their codes as ``_star_masks`` gives them, in one pass."""
-    table, width = g._step_table(), g.alphabet.num_codes
+def _stars(
+    table: list[int], width: int, vertex_count: int
+) -> tuple[list[list[tuple[int, int]]], list[int]]:
+    """Per vertex of a folded graph, given by its step table, its steps
+    ``(code, neighbour)`` in code order, and their codes as
+    ``_star_masks`` gives them, in one pass."""
     stars, masks = [], []
-    for row in _rows(table, width, g.vertex_count):
+    for row in _rows(table, width, vertex_count):
         star, mask = [], 0
         for code, far in enumerate(row):
             if far >= 0:

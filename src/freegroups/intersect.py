@@ -166,7 +166,7 @@ def _product_components(
     then in walk order), its edge count and whether it holds the base
     pair, so the stream follows the order of least product vertex.
     """
-    a_stars, a_masks = _stars(a)
+    a_stars, a_masks = _stars(a._step_table(), a.alphabet.num_codes, a.vertex_count)
     b_masks = _star_masks(b)
     b_table, width, nb = b._step_table(), b.alphabet.num_codes, b.vertex_count
     base_id = base_pair[0] * nb + base_pair[1]
@@ -202,13 +202,21 @@ def _product_components(
             yield comp, half_edges >> 1, has_base
 
 
-def _self_product_classes(g: XDigraph) -> Iterator[tuple[list[int], int, bool]]:
+def _self_product_classes(
+    table: list[int], width: int, vertices: Sequence[int], lone: bool = False
+) -> Iterator[tuple[list[int], int, bool]]:
     """The swap classes of the self-product of a folded graph away from
     the diagonal, each walked once, without building the product.
 
-    Pair ids are ``v * #V + u`` as in ``_product_components``.  Only
-    the pairs with ``v < u`` are visited, in id order; one already seen,
-    or whose stars share no signed letter, starts no walk.  A walk
+    The graph is given by its step table, of ``width`` codes a row, and
+    its vertices, in increasing order: ``range(#V)`` for a graph, the
+    least vertex of each class for a quotient's table from
+    ``extensions._class_steps``, whose other rows are empty.  Pair ids
+    are ``v * n + u``, with ``n`` the table's row count, as in
+    ``_product_components``.  Only the pairs with ``v < u`` are visited,
+    in id order; one already seen starts no walk, and neither does one
+    whose stars share no signed letter: with ``lone`` set, each of those
+    is yielded as a class of its own, with no edges.  A walk
     follows one lift C of the class C' of unordered pairs and records
     each pair in C's orientation, marking its swap as taken; a step
     onto a taken swap shows swap(C) = C.  No off-diagonal pair steps
@@ -218,14 +226,18 @@ def _self_product_classes(g: XDigraph) -> Iterator[tuple[list[int], int, bool]]:
     of C' and whether C is a double cover of C' (swap(C) = C).  The
     rank of C is that of C' when it is not, and 2 rk C' - 1 when it is.
     """
-    stars, masks = _stars(g)
-    table, width, n = g._step_table(), g.alphabet.num_codes, g.vertex_count
+    n = len(table) // width if width else len(vertices)
+    stars, masks = _stars(table, width, n)
     seen = bytearray(n * n)  # 1: a pair of the lift walked, 2: the swap of one
-    for v in range(n - 1):
+    for i, v in enumerate(vertices):
         v_mask, row = masks[v], v * n
-        for u in range(v + 1, n):
+        for u in vertices[i + 1:]:
             p = row + u
-            if seen[p] or not v_mask & masks[u]:
+            if seen[p]:
+                continue
+            if not v_mask & masks[u]:
+                if lone:
+                    yield [p], 0, False
                 continue
             seen[p], seen[u * n + v] = 1, 2
             comp = [p]
@@ -301,7 +313,8 @@ def component_analysis(h: SubgroupGraph, k: SubgroupGraph) -> list[ComponentRepo
         nonlocal h_out
         if h_out is None:
             # positive steps, in code order: each edge is read once, at its origin, and in order
-            h_out = [[(c, w) for c, w in star if not c & 1] for star in _stars(h.graph)[0]]
+            stars = _stars(h.graph._step_table(), width, h.vertex_count)[0]
+            h_out = [[(c, w) for c, w in star if not c & 1] for star in stars]
         pairs.sort()
         renum = {p: i for i, p in enumerate(pairs)}
         edges = []
@@ -328,7 +341,7 @@ def component_analysis(h: SubgroupGraph, k: SubgroupGraph) -> list[ComponentRepo
 
     if self_product:
         emit(list(range(0, nk * nk, nk + 1)), 0, True, h.edge_count - nk + 1)
-        for pairs, edge_count, double in _self_product_classes(h.graph):
+        for pairs, edge_count, double in _self_product_classes(k_table, width, range(nk)):
             class_rank = edge_count - len(pairs) + 1
             twin = [p % nk * nk + p // nk for p in pairs]  # swap(C)
             if double:
@@ -358,10 +371,13 @@ def is_malnormal(h: SubgroupGraph) -> tuple[bool, Optional[Word]]:
     the witness returned is built and verified: a g with g not in H and
     ``g H g^-1 n H`` nontrivial.
     """
-    for pairs, edge_count, _ in _self_product_classes(h.graph):
+    n = h.vertex_count
+    for pairs, edge_count, _ in _self_product_classes(
+        h.graph._step_table(), h.alphabet.num_codes, range(n)
+    ):
         if edge_count - len(pairs) + 1 > 0:
             tree = spanning_tree(h, geodesic=True)
-            g = _witness(h, h, tree, tree, *divmod(pairs[0], h.vertex_count))
+            g = _witness(h, h, tree, tree, *divmod(pairs[0], n))
             if contains(h, g):
                 raise AssertionError("malnormality witness must lie outside H")
             return False, g
@@ -379,7 +395,9 @@ def is_cyclonormal(h: SubgroupGraph) -> bool:
     """
     return all(
         edge_count - len(pairs) + 1 <= 1
-        for pairs, edge_count, _ in _self_product_classes(h.graph)
+        for pairs, edge_count, _ in _self_product_classes(
+            h.graph._step_table(), h.alphabet.num_codes, range(h.vertex_count)
+        )
     )
 
 

@@ -40,15 +40,22 @@ A descent step costs the table plus the 2r(4^(r-1) - 1) moves: 256
 entries and 504 moves at rank 4, 65,536 and 262,128 at rank 8, 16.7
 million entries at rank 12, whatever the size of the graph.
 
-Only the image of the chosen move is built.  Its carrier is read off
-its cut, ``A = {a} u {x^-1 : x in B, x != a}``, and its image by edge
-substitution (``transform_subgroup``): every edge ``(o, x, t)`` becomes
-a path from o to t that spells the image of x, and the result is
-folded and cored at the base, in time linear in #E.  The built size is
-checked against the prediction.  Gersten's peak reduction holds for
-cyclic cores: one that no multiplier move shrinks is already at its
-orbit minimum.  So greedy descent on the edge count is the whole
-search, and level moves are never explored.
+Only the image of the chosen move is built, and it is cut straight
+from the move's cut B (``_cut_image``).  A half-edge off the letter of
+``a`` reads an image that starts with ``a`` iff its code is in B, so
+the half-edges with codes in B - {a} move, as a block, from their
+vertex to the far end of its a-edge, or to a new vertex an a-edge
+reaches; the a-edges stay.  The table is folded as built, with no
+union-find and nothing spelled.  Its leaves, the base among them, are
+pruned; the tree that held the base meets the rest at the anchor,
+where the image's stem ends, and the cyclic core is numbered once,
+from there, in time linear in #E.  The built size is checked against
+the prediction.  ``transform_subgroup``, which spells the image of
+every edge and folds, builds the image under any automorphism of the
+family, and the cut images are tested against it.  Gersten's peak
+reduction holds for cyclic cores: one that no multiplier move shrinks
+is already at its orbit minimum.  So greedy descent on the edge count
+is the whole search, and level moves are never explored.
 """
 
 from __future__ import annotations
@@ -60,7 +67,7 @@ from operator import add, sub
 from typing import Optional
 
 from .errors import AlphabetMismatchError, InvalidInputError
-from .graph import Edge, XDigraph, _star_masks, _stem, canonical_morphism
+from .graph import Edge, XDigraph, _rows, _star_masks, _stem, canonical_morphism
 from .subgroup import (
     SubgroupGraph,
     _canonical_core,
@@ -196,12 +203,13 @@ def is_free_factor_of_ambient(
     class, since conjugation keeps free factors free factors.  Each step
     scores every multiplier move from one subset-sum table over the
     vertex stars (see the module docstring), and builds only the image
-    of the first move of least size, by edge substitution, checking its
-    size against the prediction.  By Gersten's peak reduction the first
-    core that no move reduces is at the orbit minimum, where K is a
-    free factor iff it is a single vertex.  Permutations never change
-    sizes and are not moves; a one-letter alphabet has no multiplier
-    moves.  ``plateau_budget`` has no effect.
+    of the first move of least size, cut from the move's cut
+    (``_cut_image``), checking its size against the prediction.  By
+    Gersten's peak reduction the first core that no move reduces is at
+    the orbit minimum, where K is a free factor iff it is a single
+    vertex.  Permutations never change sizes and are not moves; a
+    one-letter alphabet has no multiplier moves.  ``plateau_budget``
+    has no effect.
     """
     return _minimal_cyclic_core(_over_letters_used(k)).vertex_count == 1
 
@@ -223,12 +231,12 @@ def _minimal_cyclic_core(k: SubgroupGraph) -> SubgroupGraph:
     """The end of the descent: a cyclic core that no move reduces."""
     cur = _cyclic_core(k)
     while cur.vertex_count > 1:
-        sizes = _move_sizes(cur, _star_masks(cur.graph))
+        stars = _star_masks(cur.graph)
+        sizes = _move_sizes(cur, stars)
         least = min(sizes, default=cur.edge_count)
         if least >= cur.edge_count:
             break
-        move = _cut_move(cur.alphabet, sizes.index(least))
-        image = _cyclic_core(transform_subgroup(move, cur))
+        image = _cut_image(cur, stars, *_cut(cur.alphabet, sizes.index(least)))
         if image.edge_count != least:
             raise AssertionError(
                 f"a Whitehead move was predicted to give {least} edges "
@@ -267,15 +275,76 @@ def _cut_masks(alphabet: Alphabet) -> tuple[int, ...]:
     return tuple(cuts)
 
 
+def _cut(alphabet: Alphabet, i: int) -> tuple[int, int]:
+    """Move ``i`` of ``_cut_masks`` as its multiplier ``a`` and cut B."""
+    cuts = _cut_masks(alphabet)
+    return i // (len(cuts) // alphabet.num_codes), cuts[i]
+
+
 def _cut_move(alphabet: Alphabet, i: int) -> WhiteheadAuto:
     """Move ``i`` of ``_cut_masks``, read off its cut B:
     ``A = {a} u {x^-1 : x in B, x != a}``."""
-    cuts = _cut_masks(alphabet)
+    a, b = _cut(alphabet, i)
     n = alphabet.num_codes
-    a = i // (len(cuts) // n)
-    b = cuts[i]
     carrier = frozenset([a] + [x ^ 1 for x in range(n) if x != a and b >> x & 1])
     return _multiplier_auto(alphabet, a, carrier)
+
+
+def _cut_image(g: SubgroupGraph, stars: list[int], a: int, cut: int) -> SubgroupGraph:
+    """The cyclic core of the image of the cyclic core ``g``, whose vertex
+    stars are ``stars``, under the move of multiplier ``a`` and cut B,
+    built from the cut and numbered once.
+
+    A half-edge c at v off the letter of ``a`` reads an image that starts
+    with ``a`` iff c is in B.  So each v whose star meets B - {a} gets a
+    hub h(v): the end of v's a-edge, or a new vertex that an a-edge from
+    v reaches.  An edge ``(o, x, t)`` off the letter of ``a`` becomes the
+    x-edge from h(o) or o, as 2x is in B or not, to h(t) or t, as 2x + 1
+    is; the a-edges stay.  A hub takes the codes of B - {a} from one
+    vertex only, so the table is folded as built.  Leaves are pruned, the
+    base among them, until none is left: the cyclic core survives, and
+    the pruned tree holding the base meets it at the anchor, where the
+    base's stem ends.  The core is numbered from there.
+    """
+    table, width, n = g.graph._step_table(), g.alphabet.num_codes, g.vertex_count
+    moved = cut & ~(1 << a)
+    hub = list(range(n))
+    count = n
+    for v, star in enumerate(stars):
+        if star & moved:
+            h = table[v * width + a]
+            if h < 0:
+                h, count = count, count + 1
+            hub[v] = h
+    out = [-1] * (count * width)
+    for v, h in enumerate(hub):
+        if h >= n:
+            out[v * width + a], out[h * width + (a ^ 1)] = h, v
+    letter = a >> 1
+    for v, row in enumerate(_rows(table, width, n)):
+        for code, w in enumerate(row):
+            if w < 0:
+                continue
+            if code >> 1 == letter:
+                out[v * width + code] = w
+            else:
+                src = hub[v] if moved >> code & 1 else v
+                out[src * width + code] = hub[w] if moved >> (code ^ 1) & 1 else w
+    deg = [width - row.count(-1) for row in _rows(out, width, count)]
+    leaves = [v for v, d in enumerate(deg) if d == 1]
+    toward = [-1] * count  # per pruned vertex, the neighbour it hung from
+    while leaves:
+        v = leaves.pop()
+        for w in out[v * width:v * width + width]:
+            if w >= 0 and toward[w] < 0:
+                toward[v] = w
+                deg[w] -= 1
+                if deg[w] == 1:
+                    leaves.append(w)
+    anchor = 0
+    while toward[anchor] >= 0:
+        anchor = toward[anchor]
+    return _canonical_core(g.alphabet, out, count, anchor)[0]
 
 
 def _move_sizes(g: SubgroupGraph, stars: list[int]) -> list[int]:

@@ -3,13 +3,17 @@
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 from random import Random
+from unittest import mock
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import freegroups.extensions as fe
 from freegroups.errors import InvalidInputError, ResourceLimitError
 from freegroups.extensions import (
     _refines,
@@ -40,6 +44,7 @@ from freegroups.words import format_word, parse_word
 
 from helpers import (
     AB,
+    ABC,
     A1,
     algebraic_extension_by_whitehead,
     algebraic_extensions_by_whitehead,
@@ -111,6 +116,43 @@ def test_quotient_vertex_bound():
     with pytest.raises(ResourceLimitError):
         principal_quotients(small, max_vertices=3)
     assert len(principal_quotients(small, max_vertices=4)) > 1
+
+
+def _letter_sharing_swap_classes(g) -> int:
+    """The swap classes of the self-product of ``g`` off the diagonal whose
+    pairs share a letter: components of the graph on the pairs (v, u),
+    v < u, that joins each to the pair of ends of every letter both read."""
+    steps = g.graph.step_maps()
+    pairs = nx.Graph()
+    for v in range(g.vertex_count):
+        for u in range(v + 1, g.vertex_count):
+            for code, v2 in steps[v].items():
+                u2 = steps[u].get(code)
+                if u2 is not None:
+                    pairs.add_edge((v, u), (min(v2, u2), max(v2, u2)))
+    return nx.number_connected_components(pairs)
+
+
+@pytest.mark.parametrize("gens", [("aBB", "BAbb"), ("abAB",), ("aB", "baaa", "abb")])
+def test_quotients_fold_one_pair_per_swap_class(gens):
+    # a pair and the pairs its letters lead to generate one congruence,
+    # so each quotient folds the least pair of each swap class whose pairs
+    # share a letter, and merges a pair whose stars share none unfolded
+    k = stallings_graph(AB, [P(w) for w in gens])
+    with mock.patch.object(fe, "_fold_merges", wraps=fe._fold_merges) as folds:
+        quotients = principal_quotients(k)
+    classes = sum(_letter_sharing_swap_classes(pq.graph) for pq in quotients)
+    pairs = sum(comb(pq.graph.vertex_count, 2) for pq in quotients)
+    assert folds.call_count == classes < pairs
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32))
+def test_quotients_match_refolding_route_over_f3(seed):
+    # the class walk reads rows of six codes, and F3 stars share no letter
+    # in more ways than F2 stars do
+    k = rand_subgroup(Random(seed), ABC, max_gens=3, max_len=9, max_vertices=8)
+    assert principal_quotients(k) == principal_quotients_by_refolding(k)
 
 
 # -- relative images --------------------------------------------------------------

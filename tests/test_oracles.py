@@ -79,8 +79,11 @@ from freegroups.subgroup import (
     trivial_subgroup,
 )
 from freegroups.errors import ResourceLimitError
+import freegroups.subgroup as fsub
 import freegroups.whitehead as fw
 from freegroups.whitehead import (
+    _cut,
+    _cut_image,
     _cyclic_core,
     _minimal_cyclic_core,
     _move_sizes,
@@ -247,7 +250,9 @@ def _check_swap_classes(h: SubgroupGraph) -> int:
         (sorted(p), e, e - len(p) + 1) for p, e, has_base in ordered if not has_base
     )
     lifted, doubles = [], 0
-    for pairs, edge_count, double in _self_product_classes(h.graph):
+    for pairs, edge_count, double in _self_product_classes(
+        h.graph._step_table(), h.alphabet.num_codes, range(n)
+    ):
         twin = [p % n * n + p // n for p in pairs]
         v, u = divmod(pairs[0], n)
         assert v < u and pairs[0] == min(pairs + twin)
@@ -297,7 +302,13 @@ def test_swap_classes_include_double_covers():
     doubles = [_check_swap_classes(h) for h in cases]
     assert doubles[0] >= 1 and doubles[1] >= 1
     assert sum(d > 0 for d in doubles[4:]) >= 1
-    assert any(not double for h in cases for *_, double in _self_product_classes(h.graph))
+    assert any(
+        not double
+        for h in cases
+        for *_, double in _self_product_classes(
+            h.graph._step_table(), h.alphabet.num_codes, range(h.vertex_count)
+        )
+    )
 
 def test_component_analysis_on_factors_of_different_sizes():
     # pair ids are v * #V_K + u: unequal vertex counts, in both orders
@@ -982,6 +993,44 @@ def test_move_sizes_match_built_images(alphabet, seed):
         assert predicted == len(type_graph(transform_subgroup(auto, h).based).edges)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([AB, ABC, ABCD]), st.integers(0, 2**32))
+def test_cut_images_match_the_substitution_oracle(alphabet, seed):
+    # for every move, the image cut from the move's cut B is the cyclic
+    # core of the image that edge substitution spells, folds and cores,
+    # in the same numbering and with the same step table
+    c = _cyclic_core(_subgroup(Random(seed), alphabet, max_vertices=10))
+    stars = _star_masks(c.graph)
+    moves = _multiplier_moves(alphabet)
+    for i, auto in enumerate(moves):
+        image = _cut_image(c, stars, *_cut(alphabet, i))
+        oracle = _cyclic_core(transform_subgroup(auto, c))
+        assert image == oracle
+        assert image.graph._step_table() == oracle.graph._step_table()
+
+
+def test_descent_step_numbers_its_image_once():
+    # from a cyclic core, a descent step numbers its image once, from the
+    # anchor, and nothing else; some images have a stem, which the route
+    # through edge substitution numbers twice, at the base and at the anchor
+    steps = stemmed = 0
+    for seed in range(20):
+        alphabet = (AB, ABC, ABCD)[seed % 3]
+        c = _cyclic_core(_sub_rose_image(Random(seed), alphabet))
+        with mock.patch.object(
+            fsub, "_core_numbering", wraps=fsub._core_numbering
+        ) as numberings, mock.patch.object(fw, "_cut_image", wraps=fw._cut_image) as images:
+            _minimal_cyclic_core(c)
+        assert numberings.call_count == images.call_count
+        steps += images.call_count
+        for (g, _, a, cut), _ in images.call_args_list:
+            others = [x ^ 1 for x in range(alphabet.num_codes) if x != a and cut >> x & 1]
+            carrier = frozenset([a] + others)
+            image = transform_subgroup(fw._multiplier_auto(alphabet, a, carrier), g)
+            stemmed += _cyclic_core(image) is not image
+    assert steps >= 20 and stemmed >= 5
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([A1, AB, ABC, ABCD, ABCDE]), st.integers(0, 2**32))
 def test_move_sizes_match_the_move_by_move_oracle(alphabet, seed):
@@ -1015,7 +1064,7 @@ def test_descent_matches_the_enumerated_descent(alphabet, seed, planted):
         h = conjugate(_sub_rose_image(rng, alphabet), rand_word(rng, alphabet, 5))
     else:
         h = _subgroup(rng, alphabet, max_vertices=8)
-    with mock.patch.object(fw, "transform_subgroup", wraps=fw.transform_subgroup) as built:
+    with mock.patch.object(fw, "_cut_image", wraps=fw._cut_image) as built:
         end = _minimal_cyclic_core(h)
     assert (end, built.call_count) == minimal_cyclic_core_by_enumeration(h)
 
