@@ -517,7 +517,7 @@ class CoreResult(NamedTuple):
 
 
 def _core_numbering(
-    table: list[int], vertex_count: int, v: int
+    table: list[int], vertex_count: int, v: int, stem: Optional[list[int]] = None
 ) -> tuple[list[int], tuple[Edge, ...], list[int]]:
     """The core at ``v`` of the folded graph on ``vertex_count`` vertices
     with this step table, numbered breadth-first from ``v`` in
@@ -526,8 +526,14 @@ def _core_numbering(
     the walk writes in the new numbering.
 
     Vertices other than ``v`` with one half-edge are deleted until none
-    is left; the survivors that ``v`` reaches form the core.  Each row
-    is read a constant number of times, and is already in code order.
+    is left; the survivors that ``v`` reaches form the core.  Given a
+    ``stem`` list, the walk goes on to cut ``v``'s stem: while ``v`` has
+    one half-edge left, ``v`` is deleted, the code of that half-edge is
+    appended to ``stem``, and its far end becomes ``v``.  The core is
+    then numbered from the anchor where the stem ends, the first
+    survivor on the tree path from the base, and ``order[0]`` is the
+    anchor.  Each row is read a constant number of times, and is already
+    in code order.  This is the library's one leaf-pruning walk.
     """
     width = len(table) // vertex_count
     deg = [width - row.count(-1) for row in _rows(table, width, vertex_count)]
@@ -541,6 +547,13 @@ def _core_numbering(
                 deg[w] -= 1
                 if deg[w] == 1 and w != v:
                     leaves.append(w)
+    while stem is not None and deg[v] == 1:
+        pos[v] = -2
+        row = table[v * width:v * width + width]
+        code = next(c for c, w in enumerate(row) if w >= 0 and pos[w] != -2)
+        stem.append(code)
+        v = row[code]
+        deg[v] -= 1
     pos[v] = 0
     order = [v]
     edges = []
@@ -569,12 +582,18 @@ def core(g: XDigraph, v: int) -> CoreResult:
     """Core of a folded graph at ``v``: the union of reduced loops at ``v``.
 
     Read off the step table: restrict to the component of ``v`` and
-    repeatedly delete degree-one vertices other than ``v``; the language
-    at ``v`` is unchanged.  Surviving vertices keep their relative
-    order.  Raises ``InvalidInputError`` unless ``g`` is folded.
+    repeatedly delete degree-one vertices other than ``v``
+    (``_core_numbering``); the language at ``v`` is unchanged.
+    Surviving vertices keep their relative order (``_kept``).  Raises
+    ``InvalidInputError`` unless ``g`` is folded.
     """
     _check_vertex(g, v)
-    order = _core_numbering(g._step_table(), g.vertex_count, v)[0]
+    return _kept(g, _core_numbering(g._step_table(), g.vertex_count, v)[0])
+
+
+def _kept(g: XDigraph, order: list[int]) -> CoreResult:
+    """The subgraph of ``g`` on the vertices of ``order``, renumbered in
+    their relative order."""
     vmap = {u: i for i, u in enumerate(sorted(order))}
     new_edges = [(vmap[o], x, vmap[t]) for o, x, t in g.edges if o in vmap and t in vmap]
     return CoreResult(XDigraph(g.alphabet, len(vmap), new_edges), vmap)
@@ -691,43 +710,28 @@ class TypeGraph(NamedTuple):
     host_vertices: tuple[int, ...]  # type vertex -> vertex of the host graph
 
 
-def _stem(g: BasedGraph) -> tuple[int, list[int]]:
-    """The stem of a folded core graph: the arc from the base to the
-    first vertex of degree >= 3, as that vertex (the anchor) and the
-    signed codes the arc reads.  ``(base, [])`` when the base has degree
-    >= 2 or the graph has no edge.  Each degree is read off the vertex's
-    step-table row; a stem vertex after the base has degree two."""
-    graph = g.graph
-    table, width = graph._step_table(), graph.alphabet.num_codes
-    v, codes = g.base, []
-    row = table[v * width:v * width + width]
-    if not graph.edge_count or width - row.count(-1) >= 2:
-        return v, codes
-    while True:
-        if row.count(-1) != width - 1:
-            raise AssertionError("stem interior vertex must have degree two")
-        v = max(row)  # the one step left
-        codes.append(row.index(v))
-        row = table[v * width:v * width + width]
-        if width - row.count(-1) >= 3:
-            return v, codes
-        row[codes[-1] ^ 1] = -1  # the step back along the stem
-
-
 def type_with_anchor(g: BasedGraph) -> TypeGraph:
     """Type of a folded core graph: the graph with its base stem removed.
 
-    If the base has degree >= 2 or the graph has no edge, the graph is
-    returned unchanged.  Otherwise the stem, the unique arc from the
-    base to the first vertex of degree >= 3 (``_stem``), is removed: what
-    is left is the core at that vertex, the anchor, with the vertices
-    kept in order, and a core graph with respect to every vertex.
+    One walk, ``_core_numbering`` with a stem list, cuts the stem, the
+    unique arc from the base to the first vertex of degree >= 3, the
+    anchor, and reads its codes.  What is left is the core at the
+    anchor, with the vertices kept in order (``_kept``), and a core
+    graph with respect to every vertex.  If the base has degree >= 2 or
+    the graph has no edge, there is no stem and the graph is returned
+    unchanged.  A graph that is no core at its base, where the walk
+    cuts anything besides the stem, raises ``AssertionError``, also
+    under ``-O``.
     """
-    anchor, stem = _stem(g)
-    if anchor == g.base:
-        return TypeGraph(g.graph, anchor, (), tuple(range(g.graph.vertex_count)))
-    t = core(g.graph, anchor)
-    return TypeGraph(t.graph, t.vertex_map[anchor], tuple(stem), tuple(t.vertex_map))
+    graph = g.graph
+    stem: list[int] = []
+    order = _core_numbering(graph._step_table(), graph.vertex_count, g.base, stem)[0]
+    if len(order) + len(stem) != graph.vertex_count:
+        raise AssertionError("stem interior vertex must have degree two")
+    if not stem:
+        return TypeGraph(graph, g.base, (), tuple(range(graph.vertex_count)))
+    t = _kept(graph, order)
+    return TypeGraph(t.graph, t.vertex_map[order[0]], tuple(stem), tuple(t.vertex_map))
 
 
 def type_graph(g: BasedGraph) -> XDigraph:
@@ -873,13 +877,15 @@ def graph_from_json(text: str) -> BasedGraph:
     graph then holds alone; its edges are derived when first read.
     Records that fail a check, or a half-edge whose slot is taken (a
     graph that is not folded), go down the edge path
-    (``_records_edges``) instead, as do records of more vertices than a
-    connected graph can have (``#V > #E + 1``), for which no table is
-    allocated.  That path raises the message of the first faulty record,
-    or for a range fault the ``XDigraph(...)`` message naming the least
-    bad edge, whatever the record order.  A graph it accepts comes back
-    with its sorted edges and no table; if that graph is not folded,
-    ``SubgroupGraph(...)`` raises at its first clash in edge order.
+    (``_records_edges``) instead, as do a negative vertex count and
+    records of more vertices than a connected graph can have
+    (``#V > #E + 1``), for which no table is allocated.  That path
+    raises the message of the first faulty record, or else the
+    ``XDigraph(...)`` message of a negative vertex count or of the least
+    bad edge out of range, whatever the record order.  A graph it
+    accepts comes back with its sorted edges and no table; if that graph
+    is not folded, ``SubgroupGraph(...)`` raises at its first clash in
+    edge order.
     """
     return _load_graph(text)[0]
 
@@ -910,11 +916,10 @@ def _load_graph(text: str) -> tuple[BasedGraph, bool]:
         raise InvalidInputError("graph record needs an 'alphabet' string or list of strings")
     alph = Alphabet(raw_alph)
     loaded = None
-    if vertices <= len(raw_edges) + 1:  # else not connected: allocate nothing per vertex
+    if 0 <= vertices <= len(raw_edges) + 1:  # else not connected: allocate nothing per vertex
         loaded = _records_table(raw_edges, alph, vertices)
     if loaded is None:
-        edges = _records_edges(raw_edges, alph, vertices)
-        return BasedGraph(XDigraph._trusted(alph, vertices, edges), base), False
+        return BasedGraph(_records_edges(raw_edges, alph, vertices), base), False
     table, canonical = loaded
     graph = XDigraph._trusted(alph, vertices, None, table)
     return BasedGraph(graph, base), canonical and base == 0
@@ -978,10 +983,11 @@ def _records_table(
     return table, canonical
 
 
-def _records_edges(raw_edges: list, alph: Alphabet, vertices: int) -> tuple[Edge, ...]:
-    """The sorted edges of these edge records, after checking each
-    record's shape, integer endpoints and label in record order, then
-    the endpoint range, naming the least bad edge."""
+def _records_edges(raw_edges: list, alph: Alphabet, vertices: int) -> XDigraph:
+    """The graph of these edge records, after checking each record's
+    shape, integer endpoints and label in record order; ``XDigraph(...)``
+    then checks the vertex count and the endpoint range, naming the
+    least bad edge."""
     edges: list[Edge] = []
     ends: dict[int, int] = {}  # one int object per vertex, however often it is named
     for rec in raw_edges:
@@ -994,11 +1000,7 @@ def _records_edges(raw_edges: list, alph: Alphabet, vertices: int) -> tuple[Edge
         if x is None:
             raise InvalidInputError(f"edge label {sym!r} outside alphabet")
         edges.append((ends.setdefault(o, o), x, ends.setdefault(t, t)))
-    if ends and not (min(ends) >= 0 and max(ends) < vertices):
-        bad = min(e for e in edges if not (0 <= e[0] < vertices and 0 <= e[2] < vertices))
-        raise InvalidInputError(f"edge {bad} has a vertex out of range")
-    edges.sort()  # one linear pass when they come sorted, as graph_to_json writes them
-    return tuple(edges)
+    return XDigraph(alph, vertices, edges)
 
 
 def to_dot(g: BasedGraph, name: str = "subgroup") -> str:

@@ -30,12 +30,11 @@ from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import AlphabetMismatchError, InvalidInputError
-from .graph import Edge, XDigraph, _star_masks, _stars, is_folded
+from .graph import XDigraph, _star_masks, _stars
 from .subgroup import (
     SpanningTree,
     SubgroupGraph,
     _canonical_core,
-    _spell_path,
     conjugate,
     contains,
     rank,
@@ -403,21 +402,21 @@ def is_cyclonormal(h: SubgroupGraph) -> bool:
 
 def is_immersed(gens: Sequence[Word]) -> bool:
     """No-cancellation criterion on a generating tuple: True iff the
-    wedge of loops spelling it at one vertex (``_spell_path``) is already
-    folded (Stallings), i.e. no product of two generators or inverses,
-    other than a factor against its own inverse, cancels.  Generators
-    must be nontrivial and share one alphabet; an empty tuple is immersed."""
+    wedge of loops spelling it at one vertex is already folded
+    (Stallings), i.e. no product of two generators or inverses, other
+    than a factor against its own inverse, cancels.  The loops are
+    reduced, so only the wedge vertex can fold: the wedge is folded iff
+    the codes leaving it, ``w[0]`` and ``w[-1]^-1`` over all generators
+    w, are pairwise distinct, and nothing is spelled.  Generators must
+    be nontrivial and share one alphabet; an empty tuple is immersed."""
     gens = list(gens)
     if any(not w.codes for w in gens):
         raise InvalidInputError("immersion is defined for nontrivial generators")
-    if not gens:
-        return True
-    edges: list[Edge] = []
-    n = 1
+    ends = []
     for w in gens:
         _check_same_alphabet(gens[0], w)
-        n = _spell_path(edges, 0, w.codes, n, end=0)
-    return is_folded(XDigraph(gens[0].alphabet, n, edges))
+        ends += (w.codes[0], w.codes[-1] ^ 1)
+    return len(set(ends)) == len(ends)
 
 
 def hanna_neumann_check(h: SubgroupGraph, k: SubgroupGraph) -> bool:

@@ -154,11 +154,14 @@ class SubgroupGraph:
 
 
 def _canonical_core(
-    alphabet: Alphabet, table: list[int], vertex_count: int, base: int
+    alphabet: Alphabet, table: list[int], vertex_count: int, base: int,
+    stem: Optional[list[int]] = None,
 ) -> tuple[SubgroupGraph, list[int]]:
     """The canonical graph of the core at ``base`` of a folded graph on
     ``vertex_count`` vertices, given by its step table, with the old
-    vertices in their new order.
+    vertices in their new order.  Given a ``stem`` list, the base's stem
+    is cut too and the graph is based at its anchor, ``order[0]``; the
+    stem's codes are appended to the list (``_core_numbering``).
 
     ``_core_numbering`` cuts the core and numbers it in one walk, the
     numbering ``SubgroupGraph`` uses, meets the edges in sorted order
@@ -167,7 +170,7 @@ def _canonical_core(
     from a folded graph: every caller checked that once, when the table
     was built.
     """
-    order, edges, core_table = _core_numbering(table, vertex_count, base)
+    order, edges, core_table = _core_numbering(table, vertex_count, base, stem)
     graph = XDigraph._trusted(alphabet, len(order), edges, core_table)
     return SubgroupGraph._from_canonical(graph), order
 

@@ -46,16 +46,17 @@ from the move's cut B (``_cut_image``).  A half-edge off the letter of
 the half-edges with codes in B - {a} move, as a block, from their
 vertex to the far end of its a-edge, or to a new vertex an a-edge
 reaches; the a-edges stay.  The table is folded as built, with no
-union-find and nothing spelled.  Its leaves, the base among them, are
-pruned; the tree that held the base meets the rest at the anchor,
-where the image's stem ends, and the cyclic core is numbered once,
-from there, in time linear in #E.  The built size is checked against
-the prediction.  ``transform_subgroup``, which spells the image of
-every edge and folds, builds the image under any automorphism of the
-family, and the cut images are tested against it.  Gersten's peak
-reduction holds for cyclic cores: one that no multiplier move shrinks
-is already at its orbit minimum.  So greedy descent on the edge count
-is the whole search, and level moves are never explored.
+union-find and nothing spelled.  The library's one leaf-pruning walk,
+``graph._core_numbering``, then prunes its leaves other than the base,
+cuts the base's stem up to the anchor, where the tree that held the
+base meets the rest, and numbers the cyclic core from there, once, in
+time linear in #E.  The built size is checked against the prediction.
+``transform_subgroup``, which spells the image of every edge and
+folds, builds the image under any automorphism of the family, and the
+cut images are tested against it.  Gersten's peak reduction holds for
+cyclic cores: one that no multiplier move shrinks is already at its
+orbit minimum.  So greedy descent on the edge count is the whole
+search, and level moves are never explored.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from operator import add, sub
 from typing import Optional
 
 from .errors import AlphabetMismatchError, InvalidInputError
-from .graph import Edge, XDigraph, _rows, _star_masks, _stem, canonical_morphism
+from .graph import Edge, XDigraph, _rows, _star_masks, canonical_morphism
 from .subgroup import (
     SubgroupGraph,
     _canonical_core,
@@ -249,12 +250,14 @@ def _minimal_cyclic_core(k: SubgroupGraph) -> SubgroupGraph:
 def _cyclic_core(g: SubgroupGraph) -> SubgroupGraph:
     """The graph with the stem to its base removed, based where the stem
     ended: the graph of a conjugate of the subgroup, core at every vertex.
-    With no stem that is ``g`` itself: a canonical graph numbered again
-    from its own base is unchanged."""
-    anchor = _stem(g.based)[0]
-    if anchor == g.base:
+    When the base is a leaf, one walk cuts the stem and numbers the rest
+    (``_canonical_core`` with a stem list).  Otherwise there is no stem
+    and that is ``g`` itself: a canonical graph numbered again from its
+    own base is unchanged."""
+    table, width = g.graph._step_table(), g.alphabet.num_codes
+    if table[g.base * width:g.base * width + width].count(-1) != width - 1:
         return g
-    return _canonical_core(g.alphabet, g.graph._step_table(), g.vertex_count, anchor)[0]
+    return _canonical_core(g.alphabet, table, g.vertex_count, g.base, [])[0]
 
 
 @lru_cache(maxsize=64)
@@ -301,10 +304,10 @@ def _cut_image(g: SubgroupGraph, stars: list[int], a: int, cut: int) -> Subgroup
     v reaches.  An edge ``(o, x, t)`` off the letter of ``a`` becomes the
     x-edge from h(o) or o, as 2x is in B or not, to h(t) or t, as 2x + 1
     is; the a-edges stay.  A hub takes the codes of B - {a} from one
-    vertex only, so the table is folded as built.  Leaves are pruned, the
-    base among them, until none is left: the cyclic core survives, and
-    the pruned tree holding the base meets it at the anchor, where the
-    base's stem ends.  The core is numbered from there.
+    vertex only, so the table is folded as built.  One walk
+    (``_canonical_core`` with a stem list) prunes the leaves other than
+    the base and cuts the base's stem: the cyclic core survives, and is
+    numbered from the anchor, where the stem ends.
     """
     table, width, n = g.graph._step_table(), g.alphabet.num_codes, g.vertex_count
     moved = cut & ~(1 << a)
@@ -330,21 +333,7 @@ def _cut_image(g: SubgroupGraph, stars: list[int], a: int, cut: int) -> Subgroup
             else:
                 src = hub[v] if moved >> code & 1 else v
                 out[src * width + code] = hub[w] if moved >> (code ^ 1) & 1 else w
-    deg = [width - row.count(-1) for row in _rows(out, width, count)]
-    leaves = [v for v, d in enumerate(deg) if d == 1]
-    toward = [-1] * count  # per pruned vertex, the neighbour it hung from
-    while leaves:
-        v = leaves.pop()
-        for w in out[v * width:v * width + width]:
-            if w >= 0 and toward[w] < 0:
-                toward[v] = w
-                deg[w] -= 1
-                if deg[w] == 1:
-                    leaves.append(w)
-    anchor = 0
-    while toward[anchor] >= 0:
-        anchor = toward[anchor]
-    return _canonical_core(g.alphabet, out, count, anchor)[0]
+    return _canonical_core(g.alphabet, out, count, 0, [])[0]
 
 
 def _move_sizes(g: SubgroupGraph, stars: list[int]) -> list[int]:

@@ -570,6 +570,36 @@ def type_with_anchor_by_degrees(g: BasedGraph) -> TypeGraph:
     return TypeGraph(XDigraph(graph.alphabet, len(keep), edges), renum[w], tuple(stem), tuple(keep))
 
 
+def stem_by_pruning(g: XDigraph, v: int) -> tuple[int, list[int]]:
+    """The anchor and stem codes of ``v`` in a folded graph whose
+    component of ``v`` has positive rank, the slow way: every leaf, ``v``
+    among them, is pruned by degrees, round by round, until none is
+    left; the anchor is the first survivor on the tree path from ``v``,
+    and the stem is the codes read along that path."""
+    alive = set(range(g.vertex_count))
+    while True:
+        deg: Counter = Counter()
+        for o, _, t in g.edges:
+            if o in alive and t in alive:
+                deg[o] += 1
+                deg[t] += 1
+        leaves = {u for u in alive if deg[u] == 1}
+        if not leaves:
+            break
+        alive -= leaves
+    steps = step_maps_by_edges(g)
+    path = {v: []}
+    queue = deque([v])
+    while True:
+        u = queue.popleft()
+        if u in alive:
+            return u, path[u]
+        for code, w in steps[u].items():
+            if w not in path:
+                path[w] = path[u] + [code]
+                queue.append(w)
+
+
 def cyclic_core_by_degrees(g: SubgroupGraph) -> SubgroupGraph:
     """The cyclic core as the type graph of ``type_with_anchor_by_degrees``,
     based at its anchor."""

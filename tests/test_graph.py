@@ -326,6 +326,22 @@ def test_type_of_a_graph_that_is_no_core_raises():
             type_with_anchor(BasedGraph(g, 0))
 
 
+def test_type_of_a_graph_that_is_no_core_beside_its_stem_raises():
+    # the walk cuts more than the stem: a path hung on a base of degree
+    # three, a second component of a base with loops, a second component
+    # with a cycle, and a leaf hung past the end of a stem
+    graphs = [
+        XDigraph(AB, 3, [(0, 0, 0), (0, 1, 1), (1, 0, 2)]),
+        XDigraph(AB, 3, [(0, 0, 0), (0, 1, 0), (1, 0, 2)]),
+        XDigraph(AB, 2, [(0, 0, 0), (1, 1, 1)]),
+        XDigraph(AB, 3, [(0, 0, 1), (1, 1, 1), (1, 0, 2)]),
+    ]
+    for g in graphs:
+        for read in (type_with_anchor, type_graph):
+            with pytest.raises(AssertionError, match="stem interior vertex must have degree two"):
+                read(BasedGraph(g, 0))
+
+
 # -- products and components -------------------------------------------------
 
 

@@ -71,6 +71,7 @@ from freegroups.intersect import (
 from freegroups.subgroup import (
     SubgroupGraph,
     _is_canonical,
+    _spell_path,
     basis,
     conjugate,
     join,
@@ -115,6 +116,7 @@ from helpers import (
     smaller_state_on_plateau,
     spelled_wedge,
     stallings_graph_unfused,
+    stem_by_pruning,
     step_maps_by_edges,
     subgroup_from_json_by_passes,
     table_of_maps,
@@ -902,6 +904,16 @@ def test_graph_json_load_reports_the_first_bad_edge_in_sorted_order():
     assert _load(json.dumps(record))[1][1] == "edge label 'z' outside alphabet"
 
 
+def test_graph_json_load_reports_a_negative_vertex_count():
+    # a negative count takes the edge path, with or without edges, where
+    # XDigraph(...) names it after the record checks, as the passes do
+    count = (InvalidInputError, "vertex count -3 is not a non-negative integer")
+    label = (InvalidInputError, "edge label 'z' outside alphabet")
+    for edges, expected in (([[0, "a", 1]], count), ([], count), ([[0, "z", 1]], label)):
+        text = json.dumps({"alphabet": "ab", "vertices": -3, "base": 0, "edges": edges})
+        assert _load(text)[1] == _load_by_passes(text) == expected
+
+
 def test_unfolded_build_input_raises_under_optimize():
     # with the merge loop patched to do nothing, the one foldedness check
     # of each build that needs folds must still fire under -O; before
@@ -946,6 +958,49 @@ print(raised)
 
 
 # -- type graphs and cyclic cores ---------------------------------------------------
+
+
+@st.composite
+def _hung_graphs(draw):
+    """A folded connected graph of rank 1 to 4 with trees hung on it, as
+    a Whitehead image is before its cut, and a random vertex of it."""
+    alphabet = draw(st.sampled_from([A1, AB, ABC]))
+    rng = Random(draw(st.integers(0, 2**32)))
+    h = rand_subgroup(rng, alphabet, max_gens=4, max_len=6)
+    while h.is_trivial():
+        h = rand_subgroup(rng, alphabet, max_gens=4, max_len=6)
+    edges, n = list(h.graph.edges), h.vertex_count
+    for _ in range(draw(st.integers(1, 5))):
+        n = _spell_path(edges, rng.randrange(n), rand_word(rng, alphabet, 9).codes, n)
+    g, vmap = fold_all(XDigraph(alphabet, n, edges))
+    # every second base is a vertex of a hung path, most often in a tree
+    if n > h.vertex_count and draw(st.booleans()):
+        return g, vmap[draw(st.integers(h.vertex_count, n - 1))]
+    return g, draw(st.integers(0, g.vertex_count - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hung_graphs())
+def test_stem_cut_matches_pruning_every_leaf(graph_and_base):
+    # with a stem list, the walk from any vertex, in the core or in a
+    # hanging tree, cuts the stem that pruning every leaf and walking
+    # the tree path to the first survivor gives, and numbers the core
+    # from that anchor as the walk without a stem list from it does
+    g, v = graph_and_base
+    assert 1 <= len(g.edges) - g.vertex_count + 1 <= 4
+    width = g.alphabet.num_codes
+    anchor, expected = stem_by_pruning(g, v)
+    stem: list[int] = []
+    order, edges, core_table = _core_numbering(g._step_table(), g.vertex_count, v, stem)
+    assert stem == expected
+    assert order == core_order_by_maps(g, anchor)
+    pos = {u: i for i, u in enumerate(order)}
+    assert edges == tuple(sorted(
+        (pos[o], x, pos[t]) for o, x, t in g.edges if o in pos and t in pos
+    ))
+    cut = XDigraph(g.alphabet, len(order), edges)
+    assert core_table == table_of_maps(step_maps_by_edges(cut), width)
+    assert (order, edges, core_table) == _core_numbering(g._step_table(), g.vertex_count, anchor)
 
 
 @settings(max_examples=60, deadline=None)
